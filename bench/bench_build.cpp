@@ -12,10 +12,10 @@
 //                   skipped above --dfs-max-switches (reported as null)
 //   releaseBatched  production release pass (SCC condensation + bitset
 //                   reachability, incrementally maintained)
-//   tableSerial     RoutingTable::build, single thread (the historical
-//                   single-pass successor-index algorithm)
-//   tableParallel   RoutingTable::build over --threads workers (two-phase
-//                   count/fill CSR build; bit-for-bit identical output)
+//   tableSerial     RoutingTable::build, single thread (one reverse BFS
+//                   per destination)
+//   tableParallel   RoutingTable::build over --threads workers
+//                   (bit-for-bit identical output)
 //   fullSerial      tree -> table end to end, single thread
 //   fullParallel    same with the worker pool
 //   reconfigFull    fault::Reconfigurator::rebuild after one link failure
@@ -23,6 +23,10 @@
 //                   failure (inherits the turn rule, rebuilds dirty
 //                   destinations only; checked identical to the masked
 //                   full build before timing)
+//
+// Each row also records the table's size (RoutingTable::bytes()) and the
+// process's peak RSS once the row is done.  Sizes run in ascending order,
+// so a row's peak RSS is the high-water mark its own size drove.
 //
 // Writes BENCH_build.json (schema in results/README.md; --json or
 // DOWNUP_BENCH_BUILD_JSON overrides the path, "" disables) so CI can gate
@@ -51,6 +55,8 @@
 #include <utility>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "core/downup_routing.hpp"
 #include "core/release.hpp"
 #include "core/repair.hpp"
@@ -77,6 +83,13 @@ std::uint64_t gSink = 0;
 inline void keep(std::uint64_t v) {
   gSink ^= v;
   asm volatile("" : : "g"(&gSink) : "memory");
+}
+
+/// Process high-water resident set size in MB (ru_maxrss is in KiB).
+double peakRssMb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
 template <typename Fn>
@@ -110,6 +123,8 @@ struct SizeResult {
   double reconfigIncrMs = 0;
   double incrementalDirtyFraction = 0;
   std::uint32_t rebuiltDestinations = 0;
+  std::uint64_t tableBytes = 0;
+  double peakRssMb = 0;
 };
 
 /// One top-level stage row of the counted pass (taken from the obs_spans/2
@@ -160,8 +175,8 @@ CounterResult countedPass(topo::NodeId switches, const topo::Topology& topo,
     routing::TurnPermissions perms = released;  // copy cost inside the span
     keep(core::releaseRedundantProhibitions(perms).releasedTurns);
   }
-  // RoutingTable::build records its own "table_build" span (with nested
-  // bfs/candidate_fill) on the same recorder.
+  // RoutingTable::build records its own "table_build" span (with a nested
+  // bfs) on the same recorder.
   keep(routing::RoutingTable::build(released, nullptr, {}, &counted)
            .fingerprint());
 
@@ -300,6 +315,7 @@ SizeResult benchOneSize(topo::NodeId switches, util::ThreadPool& pool,
   res.tableSerialMs = timeMs(repeats, [&] {
     keep(routing::RoutingTable::build(released).fingerprint());
   });
+  res.tableBytes = routing::RoutingTable::build(released).bytes();
   res.tableParallelMs = timeMs(repeats, [&] {
     keep(routing::RoutingTable::build(released, &pool).fingerprint());
   });
@@ -409,6 +425,7 @@ SizeResult benchOneSize(topo::NodeId switches, util::ThreadPool& pool,
     printCounterTable(cr);
     counterResults->push_back(std::move(cr));
   }
+  res.peakRssMb = peakRssMb();
   return res;
 }
 
@@ -466,8 +483,10 @@ void writeJson(const char* path, const std::vector<SizeResult>& results,
                  r.reconfigFullMs, r.reconfigIncrMs);
     std::fprintf(out,
                  "     \"incrementalDirtyFraction\": %.4f, "
-                 "\"rebuiltDestinations\": %u}%s\n",
-                 r.incrementalDirtyFraction, r.rebuiltDestinations,
+                 "\"rebuiltDestinations\": %u,\n",
+                 r.incrementalDirtyFraction, r.rebuiltDestinations);
+    std::fprintf(out, "     \"tableBytes\": %llu, \"peakRssMb\": %.1f}%s\n",
+                 static_cast<unsigned long long>(r.tableBytes), r.peakRssMb,
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
@@ -580,25 +599,28 @@ int main(int argc, char** argv) {
   }
   std::vector<CounterResult> counterResults;
   std::vector<SizeResult> results;
-  std::printf("%8s %8s %9s %9s %9s %9s %9s %9s %9s %9s\n", "switches",
-              "tree", "repair", "relDFS", "relBatch", "tblSer", "tblPar",
-              "fullSer", "rcfgFull", "rcfgIncr");
+  std::printf("%8s %8s %9s %9s %9s %9s %9s %9s %9s %9s %9s %9s\n",
+              "switches", "tree", "repair", "relDFS", "relBatch", "tblSer",
+              "tblPar", "fullSer", "rcfgFull", "rcfgIncr", "tblMiB", "rssMB");
   for (const int size : {64, 128, 256, 512, 1024, 2048, 4096}) {
     if (size < *minSwitches || size > *maxSwitches) continue;
     const SizeResult r =
         benchOneSize(static_cast<topo::NodeId>(size), pool, *repeats, *dfsMax,
                      spansPtr, countedPtr, &counterResults);
     std::printf(
-        "%8u %8.2f %9.2f %9.2f %9.2f %9.2f %9.2f %9.2f %9.2f %9.2f\n",
+        "%8u %8.2f %9.2f %9.2f %9.2f %9.2f %9.2f %9.2f %9.2f %9.2f %9.1f "
+        "%9.1f\n",
         static_cast<unsigned>(r.switches), r.treeMs, r.repairMs,
         r.releaseDfsMs < 0 ? 0.0 : r.releaseDfsMs, r.releaseBatchedMs,
         r.tableSerialMs, r.tableParallelMs, r.fullSerialMs, r.reconfigFullMs,
-        r.reconfigIncrMs);
+        r.reconfigIncrMs, static_cast<double>(r.tableBytes) / 1048576.0,
+        r.peakRssMb);
     std::fflush(stdout);
     results.push_back(r);
   }
   std::printf("(milliseconds, best of %d; relDFS 0.00 = skipped above "
-              "--dfs-max-switches; %d thread%s)\n",
+              "--dfs-max-switches; %d thread%s; tblMiB = table bytes, "
+              "rssMB = peak RSS after the row)\n",
               *repeats, *threads, *threads == 1 ? "" : "s");
 
   if (!jsonPath.empty()) {

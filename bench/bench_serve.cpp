@@ -16,6 +16,8 @@
 //                           coalescing effectiveness (flap cancel-outs,
 //                           burst folding)
 //   retireDepthMax          retired-snapshot list high-water mark
+//   snapshotBytes           RoutingTable::bytes() of the final epoch's
+//                           table: what each published snapshot holds
 //   snapshotLifetimeP50Ns/P99Ns
 //                           publish -> reclaim lifetime per retired epoch
 //   fabricMetrics           full FabricMetrics JSON object (histograms +
@@ -85,6 +87,7 @@ struct ServeResult {
   std::uint64_t finalEpoch = 0;
   std::uint64_t reclaimed = 0;
   std::uint64_t retireDepthMax = 0;
+  std::uint64_t snapshotBytes = 0;
   double snapshotLifetimeP50Ns = 0.0;
   double snapshotLifetimeP99Ns = 0.0;
   std::string fabricMetricsJson;
@@ -209,9 +212,11 @@ void writeRow(std::FILE* out, const ServeResult& r, int switches, int ports,
                indent, static_cast<unsigned long long>(r.finalEpoch),
                static_cast<unsigned long long>(r.reclaimed), lineEnd);
   std::fprintf(out,
-               "%s\"retireDepthMax\": %llu, \"snapshotLifetimeP50Ns\": "
-               "%.0f, \"snapshotLifetimeP99Ns\": %.0f,%s",
+               "%s\"retireDepthMax\": %llu, \"snapshotBytes\": %llu, "
+               "\"snapshotLifetimeP50Ns\": %.0f, \"snapshotLifetimeP99Ns\": "
+               "%.0f,%s",
                indent, static_cast<unsigned long long>(r.retireDepthMax),
+               static_cast<unsigned long long>(r.snapshotBytes),
                r.snapshotLifetimeP50Ns, r.snapshotLifetimeP99Ns, lineEnd);
   std::fprintf(out, "%s\"fabricMetrics\": %s,%s", indent,
                r.fabricMetricsJson.c_str(), lineEnd);
@@ -334,6 +339,7 @@ int main(int argc, char** argv) {
   result.allOk = fm.allPublishedOk();
   result.retireDepthMax =
       metrics.retireDepthMax.load(std::memory_order_relaxed);
+  result.snapshotBytes = fm.acquire(handles[0]).table().bytes();
   const auto lifetime = metrics.snapshotLifetimeNs.snapshot();
   result.snapshotLifetimeP50Ns = lifetime.p50Ns;
   result.snapshotLifetimeP99Ns = lifetime.p99Ns;
@@ -353,14 +359,15 @@ int main(int argc, char** argv) {
   std::printf(
       "bench_serve: %llu lookups during reconfig, %llu rebuilds "
       "(%llu skipped, %llu transitions, largest batch %llu), final epoch "
-      "%llu, allOk=%d\n",
+      "%llu, allOk=%d, %.1f KiB per snapshot\n",
       static_cast<unsigned long long>(result.total.lookupsDuringReconfig),
       static_cast<unsigned long long>(result.rebuilds),
       static_cast<unsigned long long>(result.rebuildsSkipped),
       static_cast<unsigned long long>(result.transitionsAbsorbed),
       static_cast<unsigned long long>(result.largestBatch),
       static_cast<unsigned long long>(result.finalEpoch),
-      result.allOk ? 1 : 0);
+      result.allOk ? 1 : 0,
+      static_cast<double>(result.snapshotBytes) / 1024.0);
 
   std::string jsonPath = *jsonOpt;
   if (jsonPath.empty()) {

@@ -64,16 +64,12 @@ int main(int argc, char** argv) {
 
   // 5. Route v2 -> v3 (ids 1 -> 2) along shortest legal channels.
   std::cout << "\nShortest legal path v2 -> v3: ";
-  std::vector<topo::ChannelId> hop;
-  routing.table().firstChannels(1, 2, hop);
-  topo::ChannelId current = hop.front();
+  topo::ChannelId current = routing.table().firstChannels(1, 2).front();
   std::cout << "v2";
   while (true) {
     std::cout << " -> v" << topo.channelDst(current) + 1;
     if (topo.channelDst(current) == 2) break;
-    hop.clear();
-    routing.table().nextChannels(current, 2, hop);
-    current = hop.front();
+    current = routing.table().nextChannels(current, 2).front();
   }
   std::cout << "  (" << routing.table().distance(1, 2) << " hops)\n";
   return 0;

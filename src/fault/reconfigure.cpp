@@ -1,6 +1,7 @@
 #include "fault/reconfigure.hpp"
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/downup_routing.hpp"
@@ -307,10 +308,33 @@ ReconfigOutcome Reconfigurator::rebuildIncremental(
   partitionSpan.arg("aliveNodes", labels.aliveNodes);
   partitionSpan.close();
 
-  out.perms = std::make_unique<TurnPermissions>(prevTable.permissions());
+  // Unreachability under the inherited rule.  Cross-component pairs are
+  // unreachable by design; a within-component unreachable pair means the
+  // old tree cannot serve the degraded graph (e.g. the failure cut the
+  // region the turn rule funnels traffic through) — re-rooting may fix
+  // that, so fall back to the full rebuild.  Only a dirty destination can
+  // lose a source (clean rows keep every distance), so each is checked as
+  // soon as its BFS ends and the first miss abandons the incremental
+  // attempt before the remaining BFS work and the verify step.
+  const NodeId n = topo.nodeCount();
+  const auto reachedByComponent = [&labels, n](const RoutingTable& table,
+                                               NodeId dst) {
+    const std::uint32_t comp = labels.comp[dst];
+    if (comp == kNoComp) return true;
+    for (NodeId s = 0; s < n; ++s) {
+      if (s != dst && labels.comp[s] == comp &&
+          table.distance(s, dst) == routing::kNoPath) {
+        return false;
+      }
+    }
+    return true;
+  };
   std::vector<NodeId> dirty;
-  out.table = std::make_unique<RoutingTable>(
-      RoutingTable::rebuildDead(prevTable, pool_, alive, &dirty, spans_));
+  std::optional<RoutingTable> table = RoutingTable::rebuildDead(
+      prevTable, pool_, alive, &dirty, spans_, reachedByComponent);
+  if (!table) return rebuild(linkAlive, nodeAlive);
+  out.perms = std::make_unique<TurnPermissions>(prevTable.permissions());
+  out.table = std::make_unique<RoutingTable>(std::move(*table));
   out.table->rebindPermissions(*out.perms);
   out.rebuiltDestinations = static_cast<std::uint32_t>(dirty.size());
 
@@ -320,12 +344,8 @@ ReconfigOutcome Reconfigurator::rebuildIncremental(
   // check below re-verifies the (superset) inherited graph.
   out.deadlockFree = routing::checkChannelDependencies(*out.perms).acyclic;
 
-  // Unreachability under the inherited rule.  Cross-component pairs are
-  // unreachable by design; a within-component unreachable pair means the
-  // old tree cannot serve the degraded graph (e.g. the failure cut the
-  // region the turn rule funnels traffic through) — re-rooting may fix
-  // that, so fall back to the full rebuild.
-  const NodeId n = topo.nodeCount();
+  // All-pairs scan: the path-length mean, and a re-check of every pair
+  // (clean destinations included) against the component labels.
   std::uint64_t reachable = 0;
   double pathSum = 0.0;
   for (NodeId s = 0; s < n; ++s) {

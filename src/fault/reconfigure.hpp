@@ -96,8 +96,10 @@ class Reconfigurator {
   /// touch (RoutingTable::rebuildDead).  Falls back to a full rebuild()
   /// when a channel revived relative to prevTable, or when the inherited
   /// rule leaves a within-component pair unreachable that re-rooting could
-  /// serve (e.g. the failure cut off the old tree root's region).  The
-  /// outcome reports which path ran via `incremental`.
+  /// serve (e.g. the failure cut off the old tree root's region); that is
+  /// checked per dirty destination as soon as its BFS ends, so a fallback
+  /// skips the remaining BFS work and the verify step.  The outcome
+  /// reports which path ran via `incremental`.
   ReconfigOutcome rebuildIncremental(
       const routing::RoutingTable& prevTable,
       std::span<const std::uint8_t> linkAlive,

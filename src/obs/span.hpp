@@ -14,8 +14,8 @@
 //   ├─ tree                     coordinated-tree construction per component
 //   ├─ classify / repair / release   turn-rule stages per component
 //   ├─ table_build              RoutingTable::build or rebuildDead
-//   │  ├─ bfs                   per-destination reverse BFS fan-out
-//   │  └─ candidate_fill        CSR successor-index construction
+//   │  ├─ dirty_delta           rebuildDead: dead channels + dirty set
+//   │  └─ bfs                   per-destination reverse BFS fan-out
 //   ├─ verify                   deadlock-freedom + connectivity check
 //   ├─ merge                    per-component remap into host numbering
 //   └─ publish                  epoch swap + reclaim sweep

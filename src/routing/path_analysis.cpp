@@ -7,7 +7,6 @@ namespace downup::routing {
 
 PathAnalysis analyzePaths(const RoutingTable& table) {
   const Topology& topo = table.topology();
-  const TurnPermissions& perms = table.permissions();
   const NodeId n = topo.nodeCount();
   const std::uint32_t channels = topo.channelCount();
 
@@ -18,8 +17,6 @@ PathAnalysis analyzePaths(const RoutingTable& table) {
   std::vector<ChannelId> order(channels);
   std::vector<double> inflow(channels);
   std::vector<double> paths(channels);
-  std::vector<ChannelId> successors;
-  std::vector<ChannelId> firsts;
 
   for (NodeId dst = 0; dst < n; ++dst) {
     // Channels reachable to dst, sorted by remaining steps descending: flow
@@ -42,14 +39,8 @@ PathAnalysis analyzePaths(const RoutingTable& table) {
         paths[c] = 1.0;
         continue;
       }
-      const NodeId via = topo.channelDst(c);
       double total = 0.0;
-      for (ChannelId next : topo.outputChannels(via)) {
-        if (table.channelSteps(dst, next) == remaining - 1 &&
-            perms.allowed(via, c, next)) {
-          total += paths[next];
-        }
-      }
+      for (ChannelId next : table.nextChannels(c, dst)) total += paths[next];
       paths[c] = total;
     }
 
@@ -58,8 +49,7 @@ PathAnalysis analyzePaths(const RoutingTable& table) {
     std::fill(inflow.begin(), inflow.end(), 0.0);
     for (NodeId s = 0; s < n; ++s) {
       if (s == dst) continue;
-      firsts.clear();
-      table.firstChannels(s, dst, firsts);
+      const Candidates firsts = table.firstChannels(s, dst);
       if (firsts.empty()) continue;  // unreachable pair
       const double share = 1.0 / static_cast<double>(firsts.size());
       for (ChannelId c : firsts) inflow[c] += share;
@@ -75,14 +65,7 @@ PathAnalysis analyzePaths(const RoutingTable& table) {
       analysis.expectedLoad[c] += inflow[c];
       const std::uint16_t remaining = table.channelSteps(dst, c);
       if (remaining <= 1) continue;  // consumed at the destination
-      const NodeId via = topo.channelDst(c);
-      successors.clear();
-      for (ChannelId next : topo.outputChannels(via)) {
-        if (table.channelSteps(dst, next) == remaining - 1 &&
-            perms.allowed(via, c, next)) {
-          successors.push_back(next);
-        }
-      }
+      const Candidates successors = table.nextChannels(c, dst);
       const double share =
           inflow[c] / static_cast<double>(successors.size());
       for (ChannelId next : successors) inflow[next] += share;
@@ -114,16 +97,14 @@ std::vector<ChannelId> samplePath(const RoutingTable& table, NodeId src,
                                   NodeId dst, util::Rng* rng) {
   std::vector<ChannelId> path;
   if (src == dst || table.distance(src, dst) == kNoPath) return path;
-  std::vector<ChannelId> options;
-  table.firstChannels(src, dst, options);
+  Candidates options = table.firstChannels(src, dst);
   while (!options.empty()) {
     const ChannelId next =
         rng == nullptr ? options.front()
                        : options[rng->below(options.size())];
     path.push_back(next);
     if (table.topology().channelDst(next) == dst) break;
-    options.clear();
-    table.nextChannels(next, dst, options);
+    options = table.nextChannels(next, dst);
   }
   return path;
 }
@@ -137,12 +118,11 @@ std::vector<std::vector<ChannelId>> enumerateMinimalPaths(
   // DFS over per-hop candidate lists; candidates come out of the table in
   // ascending channel order, so paths emerge lexicographically.
   struct Frame {
-    std::vector<ChannelId> options;
+    Candidates options;
     std::size_t next = 0;
   };
-  std::vector<Frame> stack(1);
+  std::vector<Frame> stack{{table.firstChannels(src, dst)}};
   std::vector<ChannelId> current;
-  table.firstChannels(src, dst, stack[0].options);
   while (!stack.empty()) {
     Frame& frame = stack.back();
     if (frame.next >= frame.options.size()) {
@@ -158,24 +138,19 @@ std::vector<std::vector<ChannelId>> enumerateMinimalPaths(
       current.pop_back();
       continue;
     }
-    Frame child;
-    table.nextChannels(chosen, dst, child.options);
-    stack.push_back(std::move(child));
+    stack.push_back({table.nextChannels(chosen, dst)});
   }
   return paths;
 }
 
 double averageAdaptivity(const RoutingTable& table) {
   const Topology& topo = table.topology();
-  std::vector<ChannelId> firsts;
   double sum = 0.0;
   std::uint64_t pairs = 0;
   for (NodeId s = 0; s < topo.nodeCount(); ++s) {
     for (NodeId d = 0; d < topo.nodeCount(); ++d) {
       if (s == d) continue;
-      firsts.clear();
-      table.firstChannels(s, d, firsts);
-      sum += static_cast<double>(firsts.size());
+      sum += static_cast<double>(table.firstChannels(s, d).size());
       ++pairs;
     }
   }

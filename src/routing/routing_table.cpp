@@ -1,8 +1,9 @@
 #include "routing/routing_table.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cstring>
+#include <atomic>
+#include <stdexcept>
+#include <string>
 
 #include "routing/audit.hpp"
 #include "util/thread_pool.hpp"
@@ -15,60 +16,9 @@ inline bool aliveBit(std::span<const std::uint64_t> mask, ChannelId c) noexcept 
   return mask.empty() || ((mask[c >> 6] >> (c & 63)) & 1u);
 }
 
-/// Dynamic serial/parallel cutover: a null return routes every parallelFor
-/// below through the serial path.  Small tables fan out slower than they
-/// build (kParallelBuildMinDestinations); the choice never affects output.
-inline util::ThreadPool* effectivePool(util::ThreadPool* pool,
-                                       NodeId destinations) noexcept {
-  if (pool == nullptr || pool->threadCount() <= 1 ||
-      destinations < kParallelBuildMinDestinations) {
-    return nullptr;
-  }
-  return pool;
-}
-
-/// Single source of truth for candidate enumeration: walks destination
-/// `dst`'s candidate relation in the exact order the simulator depends on
-/// (adjacency order within each row; the simulator's random pick indexes
-/// into these rows, so reordering would change RNG-driven routing
-/// decisions).  The serial single-pass build, the parallel counting pass
-/// and the parallel fill pass all instantiate this with different emitters,
-/// which is what makes them bit-for-bit interchangeable.
-template <class FirstEntry, class FirstRowEnd, class ChanEntry,
-          class ChanRowEnd>
-void enumerateCandidatesForDst(const TurnPermissions& perms, NodeId n,
-                               std::uint32_t channels,
-                               const std::uint16_t* steps, NodeId dst,
-                               FirstEntry&& firstEntry,
-                               FirstRowEnd&& firstRowEnd, ChanEntry&& chanEntry,
-                               ChanRowEnd&& chanRowEnd) {
-  const Topology& topo = perms.topology();
-  for (NodeId src = 0; src < n; ++src) {
-    if (src != dst) {
-      std::uint16_t best = kNoPath;
-      for (ChannelId c : topo.outputChannels(src)) {
-        best = std::min(best, steps[c]);
-      }
-      if (best != kNoPath) {
-        for (ChannelId c : topo.outputChannels(src)) {
-          if (steps[c] == best) firstEntry(c);
-        }
-      }
-    }
-    firstRowEnd(src);
-  }
-  for (ChannelId in = 0; in < channels; ++in) {
-    const std::uint16_t remaining = steps[in];
-    if (remaining != kNoPath && remaining > 1) {  // <=1: dst(in) == dst
-      const NodeId via = topo.channelDst(in);
-      for (ChannelId next : topo.outputChannels(via)) {
-        if (steps[next] != remaining - 1) continue;
-        chanEntry(next, perms.allowed(via, in, next),
-                  next != Topology::reverseChannel(in));
-      }
-    }
-    chanRowEnd(in);
-  }
+/// Workers parallelFor runs on; 1 means serially on the calling thread.
+inline std::size_t threadsOf(const util::ThreadPool* pool) noexcept {
+  return pool == nullptr ? 1 : pool->threadCount();
 }
 
 }  // namespace
@@ -76,7 +26,7 @@ void enumerateCandidatesForDst(const TurnPermissions& perms, NodeId n,
 void RoutingTable::bfsDestination(NodeId dst,
                                   std::span<const std::uint64_t> channelAlive,
                                   std::vector<ChannelId>& queue) {
-  const Topology& topo = perms_->topology();
+  const Topology& topo = *topo_;
   auto* steps = &steps_[static_cast<std::size_t>(dst) * channelCount_];
   std::fill(steps, steps + channelCount_, kNoPath);
   queue.clear();
@@ -107,23 +57,33 @@ void RoutingTable::bfsDestination(NodeId dst,
   }
 }
 
+RoutingTable::RoutingTable(const TurnPermissions& perms)
+    : perms_(&perms),
+      topo_(&perms.topology()),
+      channelCount_(perms.topology().channelCount()),
+      nodeCount_(perms.topology().nodeCount()) {
+  for (NodeId v = 0; v < nodeCount_; ++v) {
+    if (topo_->degree(v) > kMaxCandidates) {
+      throw std::invalid_argument(
+          "RoutingTable: node " + std::to_string(v) + " has degree " +
+          std::to_string(topo_->degree(v)) + ", above the limit of " +
+          std::to_string(kMaxCandidates) + " (kMaxCandidates)");
+    }
+  }
+}
+
 RoutingTable RoutingTable::build(const TurnPermissions& perms,
                                  util::ThreadPool* pool,
                                  std::span<const std::uint64_t> channelAlive,
                                  util::SpanRecorder* spans) {
-  RoutingTable table;
-  table.perms_ = &perms;
-  const Topology& topo = perms.topology();
-  const NodeId n = topo.nodeCount();
-  table.nodeCount_ = n;
-  table.channelCount_ = topo.channelCount();
-  table.steps_.resize(static_cast<std::size_t>(n) * table.channelCount_);
-  pool = effectivePool(pool, n);
-
+  const NodeId n = perms.topology().nodeCount();
   util::ScopedSpan buildSpan(spans, "table_build");
   buildSpan.arg("destinations", n);
-  buildSpan.arg("threads", pool != nullptr ? pool->threadCount() : 1);
-  buildSpan.arg("parallel", pool != nullptr ? 1 : 0);
+  buildSpan.arg("threads", threadsOf(pool));
+  buildSpan.arg("parallel", threadsOf(pool) > 1 ? 1 : 0);
+
+  RoutingTable table(perms);
+  table.steps_.resize(static_cast<std::size_t>(n) * table.channelCount_);
 
   // Per-destination rows are disjoint, so the BFS fans out directly.  The
   // queue is per OS thread and grows once to channelCount_; repeated builds
@@ -135,175 +95,41 @@ RoutingTable RoutingTable::build(const TurnPermissions& perms,
       table.bfsDestination(static_cast<NodeId>(dst), channelAlive, queue);
     });
   }
-  {
-    util::ScopedSpan fillSpan(spans, "candidate_fill");
-    table.buildSuccessorIndexes(pool);
-  }
   invokeTableAuditHook(perms, table, channelAlive);
   return table;
 }
 
-void RoutingTable::buildSuccessorIndexes(util::ThreadPool* pool) {
-  const NodeId n = nodeCount_;
-  const std::uint32_t channels = channelCount_;
-  first_.offsets.assign(static_cast<std::size_t>(n) * n + 1, 0);
-  next_.offsets.assign(static_cast<std::size_t>(n) * channels + 1, 0);
-  nextAny_.offsets.assign(static_cast<std::size_t>(n) * channels + 1, 0);
-
-  if (pool == nullptr || pool->threadCount() <= 1) {
-    // Serial: one pass, appending entries and recording cumulative offsets.
-    first_.entries.clear();
-    next_.entries.clear();
-    nextAny_.entries.clear();
-    for (NodeId dst = 0; dst < n; ++dst) {
-      const auto* steps =
-          &steps_[static_cast<std::size_t>(dst) * channels];
-      enumerateCandidatesForDst(
-          *perms_, n, channels, steps, dst,
-          [this](ChannelId c) { first_.entries.push_back(c); },
-          [this, n, dst](NodeId src) {
-            first_.offsets[static_cast<std::size_t>(dst) * n + src + 1] =
-                static_cast<std::uint32_t>(first_.entries.size());
-          },
-          [this](ChannelId next, bool legal, bool anyTurn) {
-            if (legal) next_.entries.push_back(next);
-            if (anyTurn) nextAny_.entries.push_back(next);
-          },
-          [this, channels, dst](ChannelId in) {
-            const std::size_t row =
-                static_cast<std::size_t>(dst) * channels + in;
-            next_.offsets[row + 1] =
-                static_cast<std::uint32_t>(next_.entries.size());
-            nextAny_.offsets[row + 1] =
-                static_cast<std::uint32_t>(nextAny_.entries.size());
-          });
-    }
-    first_.entries.shrink_to_fit();
-    next_.entries.shrink_to_fit();
-    nextAny_.entries.shrink_to_fit();
-    return;
-  }
-
-  // Parallel: count per-row sizes into offsets[row + 1] (disjoint
-  // destination blocks), serially prefix the per-destination totals, then
-  // prefix-and-fill each destination block independently.  The fill replays
-  // the same enumeration, so entries land exactly where the serial pass
-  // would have appended them.
-  std::vector<std::uint64_t> firstBase(n + 1, 0);
-  std::vector<std::uint64_t> nextBase(n + 1, 0);
-  std::vector<std::uint64_t> anyBase(n + 1, 0);
-  util::parallelFor(pool, n, [&](std::size_t d) {
-    const NodeId dst = static_cast<NodeId>(d);
-    const auto* steps = &steps_[d * channels];
-    std::uint32_t firstCount = 0;
-    std::uint32_t nextCount = 0;
-    std::uint32_t anyCount = 0;
-    std::uint64_t firstTotal = 0;
-    std::uint64_t nextTotal = 0;
-    std::uint64_t anyTotal = 0;
-    enumerateCandidatesForDst(
-        *perms_, n, channels, steps, dst,
-        [&](ChannelId) { ++firstCount; },
-        [&](NodeId src) {
-          first_.offsets[d * n + src + 1] = firstCount;
-          firstTotal += firstCount;
-          firstCount = 0;
-        },
-        [&](ChannelId, bool legal, bool anyTurn) {
-          nextCount += legal;
-          anyCount += anyTurn;
-        },
-        [&](ChannelId in) {
-          const std::size_t row = d * channels + in;
-          next_.offsets[row + 1] = nextCount;
-          nextAny_.offsets[row + 1] = anyCount;
-          nextTotal += nextCount;
-          anyTotal += anyCount;
-          nextCount = 0;
-          anyCount = 0;
-        });
-    firstBase[d + 1] = firstTotal;
-    nextBase[d + 1] = nextTotal;
-    anyBase[d + 1] = anyTotal;
-  });
-  for (NodeId d = 0; d < n; ++d) {
-    firstBase[d + 1] += firstBase[d];
-    nextBase[d + 1] += nextBase[d];
-    anyBase[d + 1] += anyBase[d];
-  }
-  assert(firstBase[n] <= 0xffffffffull && nextBase[n] <= 0xffffffffull &&
-         anyBase[n] <= 0xffffffffull && "CSR entry count overflows uint32");
-  first_.entries.resize(firstBase[n]);
-  next_.entries.resize(nextBase[n]);
-  nextAny_.entries.resize(anyBase[n]);
-  util::parallelFor(pool, n, [&](std::size_t d) {
-    const NodeId dst = static_cast<NodeId>(d);
-    const auto* steps = &steps_[d * channels];
-    // Turn this block's counts into absolute offsets.  The block boundary
-    // offset is written by the previous destination's task; nothing reads
-    // it until the barrier at the end of this parallelFor.
-    std::uint32_t cursor = static_cast<std::uint32_t>(firstBase[d]);
-    for (std::size_t row = d * n; row < (d + 1) * n; ++row) {
-      cursor += first_.offsets[row + 1];
-      first_.offsets[row + 1] = cursor;
-    }
-    std::uint32_t nextCursor = static_cast<std::uint32_t>(nextBase[d]);
-    std::uint32_t anyCursor = static_cast<std::uint32_t>(anyBase[d]);
-    for (std::size_t row = d * channels; row < (d + 1) * channels; ++row) {
-      nextCursor += next_.offsets[row + 1];
-      next_.offsets[row + 1] = nextCursor;
-      anyCursor += nextAny_.offsets[row + 1];
-      nextAny_.offsets[row + 1] = anyCursor;
-    }
-    std::uint32_t firstFill = static_cast<std::uint32_t>(firstBase[d]);
-    std::uint32_t nextFill = static_cast<std::uint32_t>(nextBase[d]);
-    std::uint32_t anyFill = static_cast<std::uint32_t>(anyBase[d]);
-    enumerateCandidatesForDst(
-        *perms_, n, channels, steps, dst,
-        [&](ChannelId c) { first_.entries[firstFill++] = c; },
-        [](NodeId) {},
-        [&](ChannelId next, bool legal, bool anyTurn) {
-          if (legal) next_.entries[nextFill++] = next;
-          if (anyTurn) nextAny_.entries[anyFill++] = next;
-        },
-        [](ChannelId) {});
-  });
-}
-
 bool RoutingTable::computeDeadDelta(std::span<const std::uint64_t> channelAlive,
                                     std::vector<ChannelId>& newlyDead,
-                                    std::vector<std::uint8_t>& deadKey,
-                                    std::vector<std::uint8_t>& dirty) const {
-  const Topology& topo = perms_->topology();
+                                    std::vector<std::uint8_t>& dirty,
+                                    ChannelId* revived) const {
+  const Topology& topo = *topo_;
   const NodeId n = nodeCount_;
-  const std::uint32_t channels = channelCount_;
 
   // A channel was alive in this table iff it seeds its own destination's
   // BFS (steps == 1 in the row of its dst node); dead channels are kNoPath
   // everywhere, including there.
   newlyDead.clear();
-  deadKey.assign(channels, 0);
-  for (ChannelId c = 0; c < channels; ++c) {
+  for (ChannelId c = 0; c < channelCount_; ++c) {
     const bool alivePrev = channelSteps(topo.channelDst(c), c) == 1;
     const bool aliveNow = aliveBit(channelAlive, c);
-    if (aliveNow && !alivePrev) return false;  // revival: full build needed
-    if (alivePrev && !aliveNow) {
-      newlyDead.push_back(c);
-      deadKey[c] = 1;
+    if (aliveNow && !alivePrev) {  // revival: full build needed
+      if (revived != nullptr) *revived = c;
+      return false;
     }
+    if (alivePrev && !aliveNow) newlyDead.push_back(c);
   }
 
-  // Destination d is dirty iff some newly dead channel c participates in a
-  // candidate row of d: it starts a minimal path from src(c) (its steps
-  // match the best over src(c)'s outputs), or it continues some in-channel
-  // e of src(c) (steps(d, e) == steps(d, c) + 1, e != reverse(c) — the
-  // any-turn membership test, a superset of the turn-legal one).  Every
-  // minimal-path edge of the table appears in one of those rows, so for a
-  // clean destination no minimal path from any channel crosses c, and no
-  // step value or candidate row besides c's own entries can change.
+  // Destination d is dirty iff some newly dead channel c lies on a minimal
+  // path of d: it starts one from src(c) (its steps match the best over
+  // src(c)'s outputs), or it continues some in-channel e of src(c)
+  // (steps(d, e) == steps(d, c) + 1, e != reverse(c) — the any-turn
+  // continuation test, a superset of the turn-legal one).  For a clean
+  // destination no minimal path from any channel crosses c, so no step
+  // value besides c's own can change.
   dirty.assign(n, 0);
   for (NodeId d = 0; d < n; ++d) {
-    const auto* steps = &steps_[static_cast<std::size_t>(d) * channels];
+    const std::uint16_t* steps = row(d);
     for (const ChannelId c : newlyDead) {
       const std::uint16_t stepsC = steps[c];
       if (stepsC == kNoPath) continue;
@@ -337,41 +163,38 @@ bool RoutingTable::computeDeadDelta(std::span<const std::uint64_t> channelAlive,
 std::uint32_t RoutingTable::dirtyDestinationCount(
     std::span<const std::uint64_t> channelAlive) const {
   std::vector<ChannelId> newlyDead;
-  std::vector<std::uint8_t> deadKey;
   std::vector<std::uint8_t> dirty;
-  if (!computeDeadDelta(channelAlive, newlyDead, deadKey, dirty)) {
-    return nodeCount_;
-  }
+  if (!computeDeadDelta(channelAlive, newlyDead, dirty)) return nodeCount_;
   std::uint32_t count = 0;
   for (const std::uint8_t bit : dirty) count += bit;
   return count;
 }
 
-RoutingTable RoutingTable::rebuildDead(
+std::optional<RoutingTable> RoutingTable::rebuildDead(
     const RoutingTable& prev, util::ThreadPool* pool,
     std::span<const std::uint64_t> channelAlive,
-    std::vector<NodeId>* dirtyDestinations, util::SpanRecorder* spans) {
-  const TurnPermissions& perms = *prev.perms_;
+    std::vector<NodeId>* dirtyDestinations, util::SpanRecorder* spans,
+    const DestinationCheck& check) {
   const NodeId n = prev.nodeCount_;
-  const std::uint32_t channels = prev.channelCount_;
-  pool = effectivePool(pool, n);
 
   util::ScopedSpan buildSpan(spans, "table_build");
   buildSpan.arg("destinations", n);
-  buildSpan.arg("threads", pool != nullptr ? pool->threadCount() : 1);
-  buildSpan.arg("parallel", pool != nullptr ? 1 : 0);
+  buildSpan.arg("threads", threadsOf(pool));
+  buildSpan.arg("parallel", threadsOf(pool) > 1 ? 1 : 0);
   buildSpan.arg("incremental", 1);
 
   std::vector<ChannelId> newlyDead;
-  std::vector<std::uint8_t> deadKey;
   std::vector<std::uint8_t> dirty;
   std::uint32_t dirtyCount = 0;
   {
     util::ScopedSpan deltaSpan(spans, "dirty_delta");
-    const bool applicable =
-        prev.computeDeadDelta(channelAlive, newlyDead, deadKey, dirty);
-    assert(applicable && "revived channel needs a full build");
-    (void)applicable;
+    ChannelId revived = topo::kInvalidChannel;
+    if (!prev.computeDeadDelta(channelAlive, newlyDead, dirty, &revived)) {
+      throw std::invalid_argument(
+          "RoutingTable::rebuildDead: channel " + std::to_string(revived) +
+          " is alive in the mask but dead in the previous table; a revived "
+          "channel needs a full build");
+    }
     for (const std::uint8_t bit : dirty) dirtyCount += bit;
     deltaSpan.arg("dirty", dirtyCount);
     deltaSpan.arg("deadChannels", newlyDead.size());
@@ -383,165 +206,38 @@ RoutingTable RoutingTable::rebuildDead(
     }
   }
 
-  RoutingTable table;
-  table.perms_ = prev.perms_;
-  table.nodeCount_ = n;
-  table.channelCount_ = channels;
-  table.steps_ = prev.steps_;
+  // Clean rows keep prev's steps with the dead channels pinned to kNoPath;
+  // dirty rows are recomputed and checked as soon as they are final.
+  RoutingTable table(prev);
+  std::atomic<bool> rejected{false};
   util::ScopedSpan bfsSpan(spans, "bfs");
   bfsSpan.arg("dirty", dirtyCount);
   util::parallelFor(pool, n, [&](std::size_t d) {
-    if (dirty[d]) {
-      thread_local std::vector<ChannelId> queue;
-      table.bfsDestination(static_cast<NodeId>(d), channelAlive, queue);
-    } else {
-      auto* steps = &table.steps_[d * channels];
+    const auto dst = static_cast<NodeId>(d);
+    if (!dirty[d]) {
+      std::uint16_t* steps = &table.steps_[d * table.channelCount_];
       for (const ChannelId c : newlyDead) steps[c] = kNoPath;
+      return;
+    }
+    if (rejected.load(std::memory_order_relaxed)) return;
+    thread_local std::vector<ChannelId> queue;
+    table.bfsDestination(dst, channelAlive, queue);
+    if (check && !check(table, dst)) {
+      rejected.store(true, std::memory_order_relaxed);
     }
   });
-  bfsSpan.close();
-  util::ScopedSpan fillSpan(spans, "candidate_fill");
-
-  // Candidate indexes: dirty destinations re-enumerate from the fresh
-  // steps; clean destinations copy prev's rows verbatim (dead channels are
-  // members of none of them), dropping only the rows keyed by dead
-  // in-channels.  Same count / prefix / fill structure as the parallel
-  // build, so the result matches a from-scratch masked build bit for bit.
-  table.first_.offsets.assign(static_cast<std::size_t>(n) * n + 1, 0);
-  table.next_.offsets.assign(static_cast<std::size_t>(n) * channels + 1, 0);
-  table.nextAny_.offsets.assign(static_cast<std::size_t>(n) * channels + 1, 0);
-  std::vector<std::uint64_t> firstBase(n + 1, 0);
-  std::vector<std::uint64_t> nextBase(n + 1, 0);
-  std::vector<std::uint64_t> anyBase(n + 1, 0);
-  const auto prevRowSize = [](const Csr& csr, std::size_t row) {
-    return csr.offsets[row + 1] - csr.offsets[row];
-  };
-  util::parallelFor(pool, n, [&](std::size_t d) {
-    std::uint64_t firstTotal = 0;
-    std::uint64_t nextTotal = 0;
-    std::uint64_t anyTotal = 0;
-    if (dirty[d]) {
-      const NodeId dst = static_cast<NodeId>(d);
-      const auto* steps = &table.steps_[d * channels];
-      std::uint32_t firstCount = 0;
-      std::uint32_t nextCount = 0;
-      std::uint32_t anyCount = 0;
-      enumerateCandidatesForDst(
-          perms, n, channels, steps, dst,
-          [&](ChannelId) { ++firstCount; },
-          [&](NodeId src) {
-            table.first_.offsets[d * n + src + 1] = firstCount;
-            firstTotal += firstCount;
-            firstCount = 0;
-          },
-          [&](ChannelId, bool legal, bool anyTurn) {
-            nextCount += legal;
-            anyCount += anyTurn;
-          },
-          [&](ChannelId in) {
-            const std::size_t row = d * channels + in;
-            table.next_.offsets[row + 1] = nextCount;
-            table.nextAny_.offsets[row + 1] = anyCount;
-            nextTotal += nextCount;
-            anyTotal += anyCount;
-            nextCount = 0;
-            anyCount = 0;
-          });
-    } else {
-      for (NodeId src = 0; src < n; ++src) {
-        const std::size_t row = d * n + src;
-        const std::uint32_t size = prevRowSize(prev.first_, row);
-        table.first_.offsets[row + 1] = size;
-        firstTotal += size;
-      }
-      for (ChannelId in = 0; in < channels; ++in) {
-        const std::size_t row = d * channels + in;
-        const std::uint32_t nextSize =
-            deadKey[in] ? 0 : prevRowSize(prev.next_, row);
-        const std::uint32_t anySize =
-            deadKey[in] ? 0 : prevRowSize(prev.nextAny_, row);
-        table.next_.offsets[row + 1] = nextSize;
-        table.nextAny_.offsets[row + 1] = anySize;
-        nextTotal += nextSize;
-        anyTotal += anySize;
-      }
-    }
-    firstBase[d + 1] = firstTotal;
-    nextBase[d + 1] = nextTotal;
-    anyBase[d + 1] = anyTotal;
-  });
-  for (NodeId d = 0; d < n; ++d) {
-    firstBase[d + 1] += firstBase[d];
-    nextBase[d + 1] += nextBase[d];
-    anyBase[d + 1] += anyBase[d];
+  if (rejected.load()) {
+    bfsSpan.arg("rejected", 1);
+    return std::nullopt;
   }
-  table.first_.entries.resize(firstBase[n]);
-  table.next_.entries.resize(nextBase[n]);
-  table.nextAny_.entries.resize(anyBase[n]);
-  util::parallelFor(pool, n, [&](std::size_t d) {
-    std::uint32_t firstFill = static_cast<std::uint32_t>(firstBase[d]);
-    std::uint32_t nextFill = static_cast<std::uint32_t>(nextBase[d]);
-    std::uint32_t anyFill = static_cast<std::uint32_t>(anyBase[d]);
-    std::uint32_t cursor = firstFill;
-    for (std::size_t row = d * n; row < (d + 1) * n; ++row) {
-      cursor += table.first_.offsets[row + 1];
-      table.first_.offsets[row + 1] = cursor;
-    }
-    std::uint32_t nextCursor = nextFill;
-    std::uint32_t anyCursor = anyFill;
-    for (std::size_t row = d * channels; row < (d + 1) * channels; ++row) {
-      nextCursor += table.next_.offsets[row + 1];
-      table.next_.offsets[row + 1] = nextCursor;
-      anyCursor += table.nextAny_.offsets[row + 1];
-      table.nextAny_.offsets[row + 1] = anyCursor;
-    }
-    if (dirty[d]) {
-      const NodeId dst = static_cast<NodeId>(d);
-      const auto* steps = &table.steps_[d * channels];
-      enumerateCandidatesForDst(
-          perms, n, channels, steps, dst,
-          [&](ChannelId c) { table.first_.entries[firstFill++] = c; },
-          [](NodeId) {},
-          [&](ChannelId next, bool legal, bool anyTurn) {
-            if (legal) table.next_.entries[nextFill++] = next;
-            if (anyTurn) table.nextAny_.entries[anyFill++] = next;
-          },
-          [](ChannelId) {});
-    } else {
-      const std::size_t firstRow = d * n;
-      const std::size_t firstCount =
-          prev.first_.offsets[firstRow + n] - prev.first_.offsets[firstRow];
-      std::memcpy(table.first_.entries.data() + firstFill,
-                  prev.first_.entries.data() + prev.first_.offsets[firstRow],
-                  firstCount * sizeof(ChannelId));
-      const auto copyRow = [](const Csr& from, std::size_t row, Csr& to,
-                              std::uint32_t& fill) {
-        const std::uint32_t begin = from.offsets[row];
-        const std::uint32_t size = from.offsets[row + 1] - begin;
-        std::memcpy(to.entries.data() + fill, from.entries.data() + begin,
-                    size * sizeof(ChannelId));
-        fill += size;
-      };
-      for (ChannelId in = 0; in < channels; ++in) {
-        if (deadKey[in]) continue;
-        const std::size_t row = d * channels + in;
-        copyRow(prev.next_, row, table.next_, nextFill);
-        copyRow(prev.nextAny_, row, table.nextAny_, anyFill);
-      }
-    }
-  });
+  bfsSpan.close();
   invokeTableAuditHook(*table.perms_, table, channelAlive);
   return table;
 }
 
 bool RoutingTable::identicalTo(const RoutingTable& other) const noexcept {
-  const auto sameCsr = [](const Csr& a, const Csr& b) {
-    return a.offsets == b.offsets && a.entries == b.entries;
-  };
   return nodeCount_ == other.nodeCount_ &&
-         channelCount_ == other.channelCount_ && steps_ == other.steps_ &&
-         sameCsr(first_, other.first_) && sameCsr(next_, other.next_) &&
-         sameCsr(nextAny_, other.nextAny_);
+         channelCount_ == other.channelCount_ && steps_ == other.steps_;
 }
 
 std::uint64_t RoutingTable::fingerprint() const noexcept {
@@ -553,131 +249,47 @@ std::uint64_t RoutingTable::fingerprint() const noexcept {
   mix(nodeCount_);
   mix(channelCount_);
   for (const std::uint16_t s : steps_) mix(s);
-  for (const Csr* csr : {&first_, &next_, &nextAny_}) {
-    for (const std::uint32_t o : csr->offsets) mix(o);
-    for (const ChannelId e : csr->entries) mix(e);
-  }
   return hash;
 }
 
 RoutingTable RoutingTable::remapComponents(
     const TurnPermissions& hostPerms, std::span<const ComponentMapping> parts) {
-  RoutingTable host;
-  host.perms_ = &hostPerms;
-  const Topology& topo = hostPerms.topology();
-  host.nodeCount_ = topo.nodeCount();
-  host.channelCount_ = topo.channelCount();
-  const std::size_t n = host.nodeCount_;
+  RoutingTable host(hostPerms);
   const std::size_t channels = host.channelCount_;
-  host.steps_.assign(n * channels, kNoPath);
+  host.steps_.assign(static_cast<std::size_t>(host.nodeCount_) * channels,
+                     kNoPath);
 
   // Scatter the per-destination step fields.  Components are node- and
-  // channel-disjoint, so writes never collide.
+  // channel-disjoint, so writes never collide.  Candidate order survives
+  // the mapping because sub node ids ascend with host ids
+  // (ComponentMapping contract), so a host adjacency scan meets a
+  // component's channels in the order a sub scan would.
   for (const ComponentMapping& part : parts) {
     const RoutingTable& sub = *part.table;
     for (NodeId subDst = 0; subDst < sub.nodeCount_; ++subDst) {
-      const std::size_t hostRow =
-          static_cast<std::size_t>(part.nodeToHost[subDst]) * channels;
-      const std::size_t subRow =
-          static_cast<std::size_t>(subDst) * sub.channelCount_;
+      std::uint16_t* hostRow =
+          &host.steps_[static_cast<std::size_t>(part.nodeToHost[subDst]) *
+                       channels];
+      const std::uint16_t* subRow = sub.row(subDst);
       for (ChannelId c = 0; c < sub.channelCount_; ++c) {
-        host.steps_[hostRow + part.channelToHost[c]] = sub.steps_[subRow + c];
+        hostRow[part.channelToHost[c]] = subRow[c];
       }
     }
   }
-
-  // Rebuild the three CSR candidate indexes by translating each sub row
-  // into its host row.  Entry order within a row is preserved: sub node ids
-  // ascend with host ids (ComponentMapping contract), so a sub adjacency
-  // scan visits neighbors in the same relative order a host scan would.
-  const auto translate = [&parts](auto rowsPerDst, auto subRowsOf,
-                                  auto hostRowOf, Csr RoutingTable::*csr,
-                                  RoutingTable& out) {
-    std::vector<std::uint32_t> sizes(rowsPerDst + 1, 0);
-    for (const ComponentMapping& part : parts) {
-      const Csr& subCsr = part.table->*csr;
-      const std::size_t subRows = subRowsOf(*part.table);
-      for (std::size_t r = 0; r < subRows; ++r) {
-        sizes[hostRowOf(part, r) + 1] +=
-            subCsr.offsets[r + 1] - subCsr.offsets[r];
-      }
-    }
-    Csr& hostCsr = out.*csr;
-    hostCsr.offsets.assign(sizes.begin(), sizes.end());
-    for (std::size_t r = 1; r < hostCsr.offsets.size(); ++r) {
-      hostCsr.offsets[r] += hostCsr.offsets[r - 1];
-    }
-    hostCsr.entries.assign(hostCsr.offsets.back(), 0);
-    for (const ComponentMapping& part : parts) {
-      const Csr& subCsr = part.table->*csr;
-      const std::size_t subRows = subRowsOf(*part.table);
-      for (std::size_t r = 0; r < subRows; ++r) {
-        std::uint32_t cursor = hostCsr.offsets[hostRowOf(part, r)];
-        for (std::uint32_t e = subCsr.offsets[r]; e < subCsr.offsets[r + 1];
-             ++e) {
-          hostCsr.entries[cursor++] = part.channelToHost[subCsr.entries[e]];
-        }
-      }
-    }
-  };
-
-  translate(
-      n * n,
-      [](const RoutingTable& sub) {
-        return static_cast<std::size_t>(sub.nodeCount_) * sub.nodeCount_;
-      },
-      [n](const ComponentMapping& part, std::size_t r) {
-        const std::size_t subN = part.table->nodeCount_;
-        return static_cast<std::size_t>(part.nodeToHost[r / subN]) * n +
-               part.nodeToHost[r % subN];
-      },
-      &RoutingTable::first_, host);
-  const auto channelRows = [](const RoutingTable& sub) {
-    return static_cast<std::size_t>(sub.nodeCount_) * sub.channelCount_;
-  };
-  const auto channelRowOf = [channels](const ComponentMapping& part,
-                                       std::size_t r) {
-    const std::size_t subChannels = part.table->channelCount_;
-    return static_cast<std::size_t>(part.nodeToHost[r / subChannels]) *
-               channels +
-           part.channelToHost[r % subChannels];
-  };
-  translate(n * channels, channelRows, channelRowOf, &RoutingTable::next_,
-            host);
-  translate(n * channels, channelRows, channelRowOf, &RoutingTable::nextAny_,
-            host);
   return host;
 }
 
 std::uint16_t RoutingTable::distance(NodeId src, NodeId dst) const noexcept {
   if (src == dst) return 0;
   std::uint16_t best = kNoPath;
-  for (ChannelId c : perms_->topology().outputChannels(src)) {
+  for (ChannelId c : topo_->outputChannels(src)) {
     best = std::min(best, channelSteps(dst, c));
   }
   return best;
 }
 
-void RoutingTable::firstChannels(NodeId src, NodeId dst,
-                                 std::vector<ChannelId>& out) const {
-  const auto row = firstChannels(src, dst);
-  out.insert(out.end(), row.begin(), row.end());
-}
-
-void RoutingTable::nextChannels(ChannelId in, NodeId dst,
-                                std::vector<ChannelId>& out) const {
-  const auto row = nextChannels(in, dst);
-  out.insert(out.end(), row.begin(), row.end());
-}
-
-void RoutingTable::nextChannelsAnyTurn(ChannelId in, NodeId dst,
-                                       std::vector<ChannelId>& out) const {
-  const auto row = nextChannelsAnyTurn(in, dst);
-  out.insert(out.end(), row.begin(), row.end());
-}
-
 bool RoutingTable::allPairsConnected() const noexcept {
-  const NodeId n = perms_->topology().nodeCount();
+  const NodeId n = nodeCount_;
   for (NodeId s = 0; s < n; ++s) {
     for (NodeId d = 0; d < n; ++d) {
       if (s != d && distance(s, d) == kNoPath) return false;
@@ -687,7 +299,7 @@ bool RoutingTable::allPairsConnected() const noexcept {
 }
 
 double RoutingTable::averagePathLength() const {
-  const NodeId n = perms_->topology().nodeCount();
+  const NodeId n = nodeCount_;
   double sum = 0.0;
   std::uint64_t pairs = 0;
   for (NodeId s = 0; s < n; ++s) {

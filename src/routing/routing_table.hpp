@@ -14,14 +14,20 @@
 // path, and all such channels are candidates (Section 5 of the paper routes
 // on "the shortest possible paths", choosing among them at random).
 //
-// Route computation is throughput-critical for the simulator, so build()
-// additionally materialises the candidate relation as three CSR successor
-// indexes (first hop per (dst, node); legal and any-turn continuations per
-// (dst, in-channel)).  The simulator's allocation fast path iterates those
-// via spans — no per-header scratch vectors, no candidate recomputation.
+// The steps table is the only thing stored.  Candidate queries scan one
+// node's output channels against it (and, for the turn-legal variant, the
+// turn rule) and return the result inline in a fixed-capacity Candidates
+// value: no per-query allocation, and nothing derived to rebuild, copy or
+// remap when the table changes.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -36,59 +42,86 @@ namespace downup::routing {
 
 inline constexpr std::uint16_t kNoPath = 0xffff;
 
-/// Destination count below which RoutingTable::build/rebuildDead run
-/// serially even when handed a multi-thread pool: per-destination BFS work
-/// at these sizes is smaller than the pool's dispatch overhead (measured in
-/// results/BENCH_build.json — the parallel path loses ~20% up through a few
-/// hundred switches on this container).  Cutover changes scheduling only;
-/// outputs stay bit-for-bit identical either way.
-inline constexpr std::uint32_t kParallelBuildMinDestinations = 256;
+/// Largest node degree a RoutingTable accepts.  Every candidate query
+/// returns at most one node's output channels, held inline; build() and
+/// remapComponents() refuse a topology with a larger degree.
+inline constexpr std::size_t kMaxCandidates = 32;
+
+/// Fixed-capacity list of candidate output channels, in outputChannels()
+/// order.  A plain value: candidate queries return it by value and callers
+/// may keep, copy and assign it freely.
+class Candidates {
+ public:
+  bool empty() const noexcept { return size_ == 0; }
+  std::size_t size() const noexcept { return size_; }
+  ChannelId operator[](std::size_t i) const noexcept { return items_[i]; }
+  ChannelId front() const noexcept { return items_[0]; }
+  const ChannelId* begin() const noexcept { return items_.data(); }
+  const ChannelId* end() const noexcept { return items_.data() + size_; }
+
+  void push_back(ChannelId c) noexcept {
+    assert(size_ < kMaxCandidates);
+    items_[size_++] = c;
+  }
+
+ private:
+  std::uint32_t size_ = 0;
+  std::array<ChannelId, kMaxCandidates> items_{};
+};
 
 class RoutingTable {
  public:
-  /// Builds the table; O(destinations x channels x avg-degree) work.
+  /// Builds the table: one reverse BFS per destination over the channel
+  /// graph, O(destinations x channels x avg-degree) work.
   ///
-  /// Per-destination rows are independent, so the reverse BFS and the
-  /// successor-index construction fan out over `pool` (nullptr, a
-  /// single-thread pool, or fewer than kParallelBuildMinDestinations
-  /// destinations run serially).  Output is bit-for-bit identical at
-  /// any thread count: BFS distances do not depend on intra-layer visit
-  /// order, and the parallel index build reproduces the serial enumeration
-  /// exactly via per-destination counting + prefix sums.
+  /// Per-destination rows are independent, so the BFS fans out over `pool`
+  /// (nullptr or a single-thread pool runs serially).  Output is
+  /// bit-for-bit identical at any thread count: BFS distances do not depend
+  /// on intra-layer visit order.
   ///
   /// `channelAlive` (optional, one bit per channel, empty = all alive)
   /// masks dead channels out of the table: they seed no BFS, relax no
-  /// predecessor, keep kNoPath steps everywhere, and appear in no candidate
-  /// row — the contract remapComponents() establishes for dead links, so a
-  /// running simulator can consume a masked table directly.
+  /// predecessor and keep kNoPath steps everywhere, so no candidate query
+  /// ever offers them — the contract remapComponents() establishes for dead
+  /// links, so a running simulator can consume a masked table directly.
   ///
-  /// `spans` (optional) records a `table_build` span with `bfs` and
-  /// `candidate_fill` children annotated with destination/thread counts;
-  /// nullptr (the default) takes a branch-per-stage and nothing else.
+  /// Throws std::invalid_argument when a node's degree exceeds
+  /// kMaxCandidates.  `spans` (optional) records a `table_build` span with
+  /// a `bfs` child annotated with destination/thread counts; nullptr (the
+  /// default) takes a branch-per-stage and nothing else.
   static RoutingTable build(const TurnPermissions& perms,
                             util::ThreadPool* pool = nullptr,
                             std::span<const std::uint64_t> channelAlive = {},
                             util::SpanRecorder* spans = nullptr);
 
+  /// Called by rebuildDead right after a dirty destination's BFS, possibly
+  /// from several pool threads at once; it may read only that
+  /// destination's row (channelSteps(dst, ·), distance(·, dst)).
+  /// Returning false abandons the rebuild.
+  using DestinationCheck =
+      std::function<bool(const RoutingTable& table, NodeId dst)>;
+
   /// Incremental rebuild after channel deaths: produces a table with
   /// contents identical to build(prev.permissions(), pool, channelAlive)
-  /// while re-running the per-destination BFS + candidate enumeration only
-  /// for *dirty* destinations — those where some newly dead channel
-  /// participates in a candidate row (it starts a minimal path from its
-  /// source node, or some other channel's minimal continuation set contains
-  /// it).  Clean destinations provably keep every step value and candidate
-  /// row (the dead channels were on none of their minimal paths), so their
-  /// rows are copied, with dead channels pinned to kNoPath and rows keyed
-  /// by dead in-channels emptied.
+  /// while re-running the per-destination BFS only for *dirty*
+  /// destinations — those where some newly dead channel starts a minimal
+  /// path from its source node, or continues some other channel's minimal
+  /// path.  Clean destinations provably keep every step value (the dead
+  /// channels were on none of their minimal paths), so their rows are
+  /// copied with the dead channels pinned to kNoPath.
   ///
-  /// Precondition: `channelAlive` may only clear bits relative to the set
-  /// prev was built with (reviving a channel needs a full build).  If
-  /// `dirtyDestinations` is non-null it receives the dirty set (ascending).
-  static RoutingTable rebuildDead(const RoutingTable& prev,
-                                  util::ThreadPool* pool,
-                                  std::span<const std::uint64_t> channelAlive,
-                                  std::vector<NodeId>* dirtyDestinations = nullptr,
-                                  util::SpanRecorder* spans = nullptr);
+  /// `channelAlive` may only clear bits relative to the set prev was built
+  /// with: a revived channel needs a full build, and rebuildDead throws
+  /// std::invalid_argument naming it.  If `dirtyDestinations` is non-null
+  /// it receives the dirty set (ascending).  When `check` rejects a dirty
+  /// destination the remaining BFS work is skipped and the result is
+  /// std::nullopt; without a check it always holds a table.
+  static std::optional<RoutingTable> rebuildDead(
+      const RoutingTable& prev, util::ThreadPool* pool,
+      std::span<const std::uint64_t> channelAlive,
+      std::vector<NodeId>* dirtyDestinations = nullptr,
+      util::SpanRecorder* spans = nullptr,
+      const DestinationCheck& check = {});
 
   /// Number of destinations rebuildDead(*this, ..., channelAlive) would
   /// recompute, or nodeCount() when a channel revived relative to this
@@ -103,15 +136,16 @@ class RoutingTable {
   /// built against; `perms` must outlive the table.
   void rebindPermissions(const TurnPermissions& perms) noexcept {
     perms_ = &perms;
+    topo_ = &perms.topology();
   }
 
   const TurnPermissions& permissions() const noexcept { return *perms_; }
-  const Topology& topology() const noexcept { return perms_->topology(); }
+  const Topology& topology() const noexcept { return *topo_; }
 
   /// Channels on a minimal legal path to dst whose first hop is c
   /// (kNoPath if dst is unreachable through c).
   std::uint16_t channelSteps(NodeId dst, ChannelId c) const noexcept {
-    return steps_[static_cast<std::size_t>(dst) * channelCount_ + c];
+    return row(dst)[c];
   }
 
   /// Minimal legal hop count from src to dst; kNoPath if unreachable,
@@ -122,15 +156,35 @@ class RoutingTable {
 
   /// Every output channel of src that starts a minimal legal path to dst
   /// (injection: no input-channel constraint), in outputChannels(src) order.
-  std::span<const ChannelId> firstChannels(NodeId src, NodeId dst) const noexcept {
-    return first_.row(static_cast<std::size_t>(dst) * nodeCount_ + src);
+  Candidates firstChannels(NodeId src, NodeId dst) const noexcept {
+    Candidates out;
+    if (src == dst) return out;
+    const std::uint16_t* steps = row(dst);
+    const auto outputs = topo_->outputChannels(src);
+    std::uint16_t best = kNoPath;
+    for (const ChannelId c : outputs) best = std::min(best, steps[c]);
+    if (best == kNoPath) return out;
+    for (const ChannelId c : outputs) {
+      if (steps[c] == best) out.push_back(c);
+    }
+    return out;
   }
 
   /// Every output channel at v == dst(in) that continues a minimal legal
   /// path to dst, honouring the turn constraint against `in`, in
   /// outputChannels(v) order.
-  std::span<const ChannelId> nextChannels(ChannelId in, NodeId dst) const noexcept {
-    return next_.row(static_cast<std::size_t>(dst) * channelCount_ + in);
+  Candidates nextChannels(ChannelId in, NodeId dst) const noexcept {
+    Candidates out;
+    const std::uint16_t* steps = row(dst);
+    const std::uint16_t remaining = steps[in];
+    if (remaining == kNoPath || remaining <= 1) return out;  // <=1: at dst
+    const NodeId via = topo_->channelDst(in);
+    for (const ChannelId next : topo_->outputChannels(via)) {
+      if (steps[next] == remaining - 1 && perms_->allowed(via, in, next)) {
+        out.push_back(next);
+      }
+    }
+    return out;
   }
 
   /// Like nextChannels but ignoring the turn rule (U-turns still excluded):
@@ -139,17 +193,20 @@ class RoutingTable {
   /// escape-channel routing scheme (sim/config.hpp): because steps(d, c) is
   /// defined over *legal* continuations, a turn-legal escape successor
   /// always exists from any channel this relation can reach.
-  std::span<const ChannelId> nextChannelsAnyTurn(ChannelId in,
-                                                 NodeId dst) const noexcept {
-    return nextAny_.row(static_cast<std::size_t>(dst) * channelCount_ + in);
+  Candidates nextChannelsAnyTurn(ChannelId in, NodeId dst) const noexcept {
+    Candidates out;
+    const std::uint16_t* steps = row(dst);
+    const std::uint16_t remaining = steps[in];
+    if (remaining == kNoPath || remaining <= 1) return out;
+    const NodeId via = topo_->channelDst(in);
+    for (const ChannelId next : topo_->outputChannels(via)) {
+      if (steps[next] == remaining - 1 &&
+          next != Topology::reverseChannel(in)) {
+        out.push_back(next);
+      }
+    }
+    return out;
   }
-
-  // --- appending variants (batch/analysis callers) ---
-
-  void firstChannels(NodeId src, NodeId dst, std::vector<ChannelId>& out) const;
-  void nextChannels(ChannelId in, NodeId dst, std::vector<ChannelId>& out) const;
-  void nextChannelsAnyTurn(ChannelId in, NodeId dst,
-                           std::vector<ChannelId>& out) const;
 
   // --- online reconfiguration (fault/reconfigure.cpp) ---
 
@@ -157,7 +214,7 @@ class RoutingTable {
   /// `table` was built on a compacted sub-topology; the maps take its node
   /// and channel ids back into the host numbering.  Sub node ids must have
   /// been assigned in ascending host-id order so that adjacency — and
-  /// therefore candidate-row — order is preserved under the mapping.
+  /// therefore candidate — order is preserved under the mapping.
   struct ComponentMapping {
     const RoutingTable* table = nullptr;
     std::span<const NodeId> nodeToHost;
@@ -167,21 +224,28 @@ class RoutingTable {
   /// Merges independently-routed components into one table expressed in the
   /// host topology's numbering, so a running simulator can hot-swap routing
   /// without renumbering its channel state.  Host channels outside every
-  /// mapping (dead links) keep kNoPath steps and empty candidate rows and
-  /// are therefore never offered as outputs; node pairs in different
-  /// components are unreachable.  `hostPerms` must express the merged turn
-  /// rule in host numbering and must outlive the returned table.
+  /// mapping (dead links) keep kNoPath steps and are therefore never
+  /// offered as outputs; node pairs in different components are
+  /// unreachable.  `hostPerms` must express the merged turn rule in host
+  /// numbering and must outlive the returned table.  Throws like build()
+  /// on a host degree above kMaxCandidates.
   static RoutingTable remapComponents(const TurnPermissions& hostPerms,
                                       std::span<const ComponentMapping> parts);
 
-  /// True when the two tables hold identical routing contents (steps and
-  /// all three candidate indexes; the permissions pointer is not compared).
-  /// Used by the determinism and incremental-equivalence tests.
+  /// True when the two tables hold identical steps (the permissions
+  /// pointer is not compared).  Used by the determinism and
+  /// incremental-equivalence tests.
   bool identicalTo(const RoutingTable& other) const noexcept;
 
-  /// FNV-1a hash over the full table contents (steps, offsets, entries).
-  /// Stable across thread counts and build paths; golden-pinned in tests.
+  /// FNV-1a hash over the table contents (sizes and steps).  Stable across
+  /// thread counts and build paths; golden-pinned in tests.
   std::uint64_t fingerprint() const noexcept;
+
+  /// Heap and object bytes this table holds (the steps table dominates:
+  /// 2 bytes per (destination, channel)).
+  std::size_t bytes() const noexcept {
+    return sizeof(*this) + steps_.capacity() * sizeof(std::uint16_t);
+  }
 
   /// True when distance(s, d) is finite for every ordered pair.
   bool allPairsConnected() const noexcept;
@@ -191,32 +255,24 @@ class RoutingTable {
   double averagePathLength() const;
 
  private:
-  /// Compressed sparse rows of channel ids (one row per (dst, key) pair).
-  struct Csr {
-    std::vector<std::uint32_t> offsets;  // rows + 1
-    std::vector<ChannelId> entries;
-
-    std::span<const ChannelId> row(std::size_t r) const noexcept {
-      return {entries.data() + offsets[r], offsets[r + 1] - offsets[r]};
-    }
-  };
-
-  RoutingTable() = default;
+  /// Binds perms and its topology's sizes (steps_ stays empty); throws
+  /// std::invalid_argument when a degree exceeds kMaxCandidates.
+  explicit RoutingTable(const TurnPermissions& perms);
+  const std::uint16_t* row(NodeId dst) const noexcept {
+    return steps_.data() + static_cast<std::size_t>(dst) * channelCount_;
+  }
   void bfsDestination(NodeId dst, std::span<const std::uint64_t> channelAlive,
                       std::vector<ChannelId>& queue);
-  void buildSuccessorIndexes(util::ThreadPool* pool);
   bool computeDeadDelta(std::span<const std::uint64_t> channelAlive,
                         std::vector<ChannelId>& newlyDead,
-                        std::vector<std::uint8_t>& deadKey,
-                        std::vector<std::uint8_t>& dirty) const;
+                        std::vector<std::uint8_t>& dirty,
+                        ChannelId* revived = nullptr) const;
 
   const TurnPermissions* perms_ = nullptr;
+  const Topology* topo_ = nullptr;
   std::uint32_t channelCount_ = 0;
   std::uint32_t nodeCount_ = 0;
   std::vector<std::uint16_t> steps_;  // [dst * channelCount_ + channel]
-  Csr first_;    // rows: dst * nodeCount_ + node
-  Csr next_;     // rows: dst * channelCount_ + in
-  Csr nextAny_;  // rows: dst * channelCount_ + in
 };
 
 }  // namespace downup::routing

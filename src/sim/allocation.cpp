@@ -7,9 +7,9 @@
 // order, so RNG draws happen in the same sequence as before the active-set
 // refactor.
 //
-// Candidate channels come straight from the RoutingTable's CSR successor
-// index as spans: the fast path performs no vector copies and no heap
-// allocation per header.
+// Candidate channels come from the RoutingTable's query-time scans, returned
+// inline as routing::Candidates: the fast path performs no vector copies and
+// no heap allocation per header.
 #include "sim/network.hpp"
 
 #include "obs/metrics.hpp"
@@ -165,7 +165,7 @@ std::uint32_t WormholeNetwork::claimEscapeAdaptive(PacketId pid,
   if (!packet.onEscape) {
     // Adaptive class first: VCs >= 1 of every output one potential step
     // closer, turn rule ignored.
-    const std::span<const ChannelId> adaptive =
+    const routing::Candidates adaptive =
         (in == topo::kInvalidChannel) ? table_->firstChannels(node, dst)
                                       : table_->nextChannelsAnyTurn(in, dst);
     candidateVcs_.clear();
@@ -180,7 +180,7 @@ std::uint32_t WormholeNetwork::claimEscapeAdaptive(PacketId pid,
     }
   }
   // Escape class: VC 0 of turn-legal minimal outputs; sticky once taken.
-  const std::span<const ChannelId> escape =
+  const routing::Candidates escape =
       (in == topo::kInvalidChannel) ? table_->firstChannels(node, dst)
                                     : table_->nextChannels(in, dst);
   candidateVcs_.clear();
@@ -203,22 +203,20 @@ std::uint32_t WormholeNetwork::claimOutputVc(PacketId pid, topo::NodeId node,
   if (config_.escapeAdaptiveRouting) {
     return claimEscapeAdaptive(pid, node, in, dst);
   }
-  std::span<const ChannelId> candidates;
+  routing::Candidates candidates;
   const bool misroute = config_.misrouteProbability > 0.0 &&
                         rng_.chance(config_.misrouteProbability);
   if (misroute) {
     // Non-minimal adaptive mode: every output that respects the turn rule
     // and from which the destination remains reachable is a candidate.
-    misrouteChannels_.clear();
     const auto& perms = table_->permissions();
     for (ChannelId c : topo_->outputChannels(node)) {
       if (table_->channelSteps(dst, c) == routing::kNoPath) continue;
       if (in != topo::kInvalidChannel && !perms.allowed(node, in, c)) {
         continue;  // allowed() also excludes the U-turn back over `in`
       }
-      misrouteChannels_.push_back(c);
+      candidates.push_back(c);
     }
-    candidates = misrouteChannels_;
   } else if (in == topo::kInvalidChannel) {
     candidates = table_->firstChannels(node, dst);
   } else {

@@ -362,20 +362,22 @@ std::uint32_t WormholeNetwork::claimOutputVcDegraded(PacketId pid,
                                                      topo::NodeId node,
                                                      ChannelId in,
                                                      topo::NodeId dst) {
-  const auto filterAlive = [this](std::span<const ChannelId> channels) {
-    aliveChannels_.clear();
+  const auto filterAlive = [this](const routing::Candidates& channels) {
+    routing::Candidates alive;
     for (ChannelId c : channels) {
-      if (faults_->channelAlive(c)) aliveChannels_.push_back(c);
+      if (faults_->channelAlive(c)) alive.push_back(c);
     }
+    return alive;
   };
   if (config_.escapeAdaptiveRouting) {
     Packet& packet = packets_[pid];
     if (!packet.onEscape) {
-      filterAlive((in == topo::kInvalidChannel)
-                      ? table_->firstChannels(node, dst)
-                      : table_->nextChannelsAnyTurn(in, dst));
+      const routing::Candidates adaptive =
+          filterAlive((in == topo::kInvalidChannel)
+                          ? table_->firstChannels(node, dst)
+                          : table_->nextChannelsAnyTurn(in, dst));
       candidateVcs_.clear();
-      for (ChannelId ch : aliveChannels_) {
+      for (ChannelId ch : adaptive) {
         for (std::uint32_t v = 1; v < vcCount_; ++v) {
           const std::uint32_t vcId = ch * vcCount_ + v;
           if (vcs_[vcId].owner == kNoPacket) candidateVcs_.push_back(vcId);
@@ -386,10 +388,12 @@ std::uint32_t WormholeNetwork::claimOutputVcDegraded(PacketId pid,
                            candidateVcs_[rng_.below(candidateVcs_.size())]);
       }
     }
-    filterAlive((in == topo::kInvalidChannel) ? table_->firstChannels(node, dst)
-                                              : table_->nextChannels(in, dst));
+    const routing::Candidates escape =
+        filterAlive((in == topo::kInvalidChannel)
+                        ? table_->firstChannels(node, dst)
+                        : table_->nextChannels(in, dst));
     candidateVcs_.clear();
-    for (ChannelId ch : aliveChannels_) {
+    for (ChannelId ch : escape) {
       const std::uint32_t vcId = ch * vcCount_;
       if (vcs_[vcId].owner == kNoPacket) candidateVcs_.push_back(vcId);
     }
@@ -401,16 +405,18 @@ std::uint32_t WormholeNetwork::claimOutputVcDegraded(PacketId pid,
   // Minimal candidates only — misroute excursions are suspended while the
   // table is stale (a non-minimal detour computed against the healthy
   // topology has no reachability guarantee on the degraded one).
-  filterAlive((in == topo::kInvalidChannel) ? table_->firstChannels(node, dst)
-                                            : table_->nextChannels(in, dst));
+  const routing::Candidates candidates =
+      filterAlive((in == topo::kInvalidChannel)
+                      ? table_->firstChannels(node, dst)
+                      : table_->nextChannels(in, dst));
   if (!config_.adaptiveSelection) {
-    if (aliveChannels_.empty()) return kNoOut;
-    const std::uint32_t vcId = aliveChannels_.front() * vcCount_;
+    if (candidates.empty()) return kNoOut;
+    const std::uint32_t vcId = candidates.front() * vcCount_;
     if (vcs_[vcId].owner != kNoPacket) return kNoOut;
     return commitClaim(pid, vcId);
   }
   candidateVcs_.clear();
-  for (ChannelId ch : aliveChannels_) {
+  for (ChannelId ch : candidates) {
     for (std::uint32_t v = 0; v < vcCount_; ++v) {
       const std::uint32_t vcId = ch * vcCount_ + v;
       if (vcs_[vcId].owner == kNoPacket) candidateVcs_.push_back(vcId);

@@ -190,7 +190,7 @@ void WormholeNetwork::sampleWaitFor() {
     const topo::NodeId dst = packets_[vc.owner].dst;
     const auto fromDir =
         static_cast<std::uint32_t>(routing::index(perms.dir(held)));
-    const auto request = [&](std::span<const ChannelId> candidates) {
+    const auto request = [&](const routing::Candidates& candidates) {
       for (ChannelId c : candidates) {
         waitfor_->addRequestEdge(
             held, c, channelFullyOwned(c), standing, node, fromDir,

@@ -335,7 +335,6 @@ class WormholeNetwork {
   std::vector<std::uint8_t> parkedSource_;                 // per node flag
 
   // Scratch buffers reused every cycle.
-  std::vector<ChannelId> misrouteChannels_;
   std::vector<std::uint32_t> candidateVcs_;
   struct Move {
     bool fromSource;
@@ -393,7 +392,6 @@ class WormholeNetwork {
   std::uint64_t droppedUnreachable_ = 0;
   std::uint64_t lastUnreachablePairs_ = 0;
   bool reconfigVerified_ = true;
-  std::vector<ChannelId> aliveChannels_;  // degraded-claim scratch
 };
 
 }  // namespace downup::sim

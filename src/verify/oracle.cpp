@@ -186,7 +186,7 @@ std::uint64_t auditCandidates(const routing::RoutingTable& table,
   const std::uint32_t channels = topo.channelCount();
   std::uint64_t violations = 0;
   std::vector<ChannelId> expected;
-  const auto mismatch = [&](std::span<const ChannelId> got) {
+  const auto mismatch = [&](const routing::Candidates& got) {
     if (got.size() != expected.size()) return true;
     return !std::equal(got.begin(), got.end(), expected.begin());
   };

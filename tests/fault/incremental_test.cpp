@@ -17,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/downup_routing.hpp"
@@ -50,9 +52,17 @@ std::vector<std::uint64_t> channelMask(
   return alive;
 }
 
+// The incremental path checks each dirty destination right after its BFS
+// and falls back at the first within-component source that no longer
+// reaches it.  Every failure must end in the table of the path it took:
+// the masked full build of the inherited rule when served incrementally,
+// the full rebuild otherwise — and on the 32/64-switch SANs both occur.
 TEST(IncrementalReconfigTest, EverySingleLinkFailureMatchesMaskedFullBuild) {
-  for (const std::uint64_t seed : {2024u, 2025u, 2026u}) {
-    const topo::Topology topo = makeSan(24, seed);
+  const std::pair<topo::NodeId, std::uint64_t> sans[] = {
+      {24, 2024}, {24, 2025}, {24, 2026}, {32, 2004}, {64, 2004}};
+  unsigned fellBack = 0;
+  for (const auto& [switches, seed] : sans) {
+    const topo::Topology topo = makeSan(switches, seed);
     const Reconfigurator reconf(topo);
     const std::vector<std::uint8_t> nodesUp = allAlive(topo.nodeCount());
     const ReconfigOutcome healthy =
@@ -61,16 +71,22 @@ TEST(IncrementalReconfigTest, EverySingleLinkFailureMatchesMaskedFullBuild) {
 
     unsigned servedIncrementally = 0;
     for (topo::LinkId l = 0; l < topo.linkCount(); ++l) {
-      SCOPED_TRACE(testing::Message() << "seed " << seed << " link " << l);
+      SCOPED_TRACE(testing::Message() << switches << " switches, seed "
+                                      << seed << ", link " << l);
       std::vector<std::uint8_t> linksUp = allAlive(topo.linkCount());
       linksUp[l] = 0;
       const ReconfigOutcome out =
           reconf.rebuildIncremental(*healthy.table, linksUp, nodesUp);
       ASSERT_TRUE(out.ok());
-      if (!out.incremental) continue;  // fallback ran the full path
+      if (!out.incremental) {
+        ++fellBack;
+        EXPECT_TRUE(out.table->identicalTo(
+            *reconf.rebuild(linksUp, nodesUp).table));
+        continue;
+      }
       ++servedIncrementally;
       // The incremental epoch must equal the masked full build of the
-      // INHERITED rule exactly (same steps, same candidate rows).
+      // INHERITED rule exactly (same steps, hence the same candidates).
       const routing::RoutingTable masked = routing::RoutingTable::build(
           *out.perms, nullptr, channelMask(topo, linksUp));
       EXPECT_TRUE(out.table->identicalTo(masked));
@@ -82,6 +98,50 @@ TEST(IncrementalReconfigTest, EverySingleLinkFailureMatchesMaskedFullBuild) {
     // link fell back, the dirty-set machinery is broken.
     EXPECT_GT(servedIncrementally, 0u);
   }
+  EXPECT_GT(fellBack, 0u);
+}
+
+// A rejected destination abandons rebuildDead: no table, and no further
+// destination is rebuilt or checked once the first one fails.
+TEST(IncrementalReconfigTest, RejectedDestinationAbandonsRebuildDead) {
+  const topo::Topology topo = makeSan(32, 2004);
+  const Reconfigurator reconf(topo);
+  const ReconfigOutcome healthy = reconf.rebuild(
+      allAlive(topo.linkCount()), allAlive(topo.nodeCount()));
+  ASSERT_TRUE(healthy.ok());
+  std::vector<std::uint8_t> linksUp = allAlive(topo.linkCount());
+  linksUp[0] = 0;
+  const std::vector<std::uint64_t> alive = channelMask(topo, linksUp);
+  ASSERT_GT(healthy.table->dirtyDestinationCount(alive), 1u);
+
+  unsigned checked = 0;
+  const auto rejectAll = [&checked](const routing::RoutingTable&,
+                                    topo::NodeId) {
+    ++checked;
+    return false;
+  };
+  EXPECT_FALSE(routing::RoutingTable::rebuildDead(*healthy.table, nullptr,
+                                                  alive, nullptr, nullptr,
+                                                  rejectAll)
+                   .has_value());
+  EXPECT_EQ(checked, 1u);
+}
+
+// The revived-channel precondition is a checked error, not an assert: this
+// test runs (and must pass) in Release builds.
+TEST(IncrementalReconfigTest, RebuildDeadRefusesRevivedChannel) {
+  const topo::Topology topo = makeSan(24, 2024);
+  const Reconfigurator reconf(topo);
+  std::vector<std::uint8_t> degraded = allAlive(topo.linkCount());
+  degraded[0] = 0;
+  const ReconfigOutcome prev =
+      reconf.rebuild(degraded, allAlive(topo.nodeCount()));
+  ASSERT_TRUE(prev.ok());
+  const std::vector<std::uint64_t> healthy =
+      channelMask(topo, allAlive(topo.linkCount()));
+  EXPECT_THROW(routing::RoutingTable::rebuildDead(*prev.table, nullptr,
+                                                  healthy),
+               std::invalid_argument);
 }
 
 TEST(IncrementalReconfigTest, AccumulatedFailuresAndThreadCountDeterminism) {

@@ -1,11 +1,7 @@
 // The parallel routing-table build contract: RoutingTable::build over a
 // worker pool is bit-for-bit identical to the serial build at any thread
-// count, on any topology.  The serial path (pool == nullptr or one
-// thread) runs the historical single-pass successor-index algorithm while
-// multi-thread pools take the two-phase count/fill CSR path, so comparing
-// thread counts 1 and 4 also cross-checks the two algorithms against each
-// other.  A golden fingerprint pins the layout itself: if either path, or
-// the CSR encoding, silently changes, the pin moves.
+// count, on any topology.  A golden fingerprint pins the table itself: if
+// the BFS or the steps layout silently changes, the pin moves.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -80,7 +76,7 @@ TEST(RoutingTableParallelTest, MaskedBuildIdenticalAcrossThreadCounts) {
 }
 
 // Golden pin: the 32-switch / 4-port reference table's fingerprint.  This
-// moves only if the construction algorithm, the CSR layout or the FNV
+// moves only if the construction algorithm, the steps layout or the FNV
 // fold change — all of which are observable contract changes that golden
 // sim runs depend on.  Update the constant deliberately when one of those
 // changes on purpose.
@@ -91,9 +87,8 @@ TEST(RoutingTableParallelTest, FingerprintGoldenPin) {
   EXPECT_NE(pinned, 0u);
   util::ThreadPool four(4);
   EXPECT_EQ(routing::RoutingTable::build(perms, &four).fingerprint(), pinned);
-  // The pinned value itself, recorded from the first Release build.  See
-  // the comment above before editing.
-  EXPECT_EQ(pinned, UINT64_C(0x408230be4b824ecc));
+  // The pinned value itself.  See the comment above before editing.
+  EXPECT_EQ(pinned, UINT64_C(0x72231c223f69c5ae));
 }
 
 }  // namespace

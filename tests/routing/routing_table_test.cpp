@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "routing/direction.hpp"
 #include "topology/generate.hpp"
@@ -82,16 +83,14 @@ TEST(RoutingTable, FirstChannelsAreMinimalStarts) {
   TurnPermissions perms(topo, classifyUpDown(topo, m1Tree(topo)),
                         TurnSet::allAllowed());
   const RoutingTable table = RoutingTable::build(perms);
-  std::vector<ChannelId> firsts;
-  table.firstChannels(0, 3, firsts);  // both ways around are 3 hops
+  Candidates firsts = table.firstChannels(0, 3);  // both ways: 3 hops
   EXPECT_EQ(firsts.size(), 2u);
   for (ChannelId c : firsts) {
     EXPECT_EQ(topo.channelSrc(c), 0u);
     EXPECT_EQ(table.channelSteps(3, c), 3u);
   }
 
-  firsts.clear();
-  table.firstChannels(0, 1, firsts);  // unique shortest
+  firsts = table.firstChannels(0, 1);  // unique shortest
   ASSERT_EQ(firsts.size(), 1u);
   EXPECT_EQ(topo.channelDst(firsts[0]), 1u);
 }
@@ -101,9 +100,7 @@ TEST(RoutingTable, FirstChannelsEmptyForSelf) {
   TurnPermissions perms(topo, classifyUpDown(topo, m1Tree(topo)),
                         upDownTurnSet());
   const RoutingTable table = RoutingTable::build(perms);
-  std::vector<ChannelId> firsts;
-  table.firstChannels(2, 2, firsts);
-  EXPECT_TRUE(firsts.empty());
+  EXPECT_TRUE(table.firstChannels(2, 2).empty());
 }
 
 TEST(RoutingTable, NextChannelsDecrementStepsByOne) {
@@ -113,13 +110,10 @@ TEST(RoutingTable, NextChannelsDecrementStepsByOne) {
                         upDownTurnSet());
   const RoutingTable table = RoutingTable::build(perms);
 
-  std::vector<ChannelId> firsts;
-  std::vector<ChannelId> nexts;
   for (NodeId s = 0; s < topo.nodeCount(); ++s) {
     for (NodeId d = 0; d < topo.nodeCount(); ++d) {
       if (s == d) continue;
-      firsts.clear();
-      table.firstChannels(s, d, firsts);
+      const Candidates firsts = table.firstChannels(s, d);
       ASSERT_FALSE(firsts.empty()) << s << " to " << d;
       for (ChannelId c : firsts) {
         // Walk one full minimal path greedily and confirm steps decrease
@@ -127,8 +121,7 @@ TEST(RoutingTable, NextChannelsDecrementStepsByOne) {
         ChannelId current = c;
         std::uint16_t remaining = table.channelSteps(d, current);
         while (topo.channelDst(current) != d) {
-          nexts.clear();
-          table.nextChannels(current, d, nexts);
+          const Candidates nexts = table.nextChannels(current, d);
           ASSERT_FALSE(nexts.empty());
           for (ChannelId n : nexts) {
             EXPECT_EQ(table.channelSteps(d, n), remaining - 1);
@@ -148,9 +141,7 @@ TEST(RoutingTable, NextChannelsEmptyAtDestination) {
   TurnPermissions perms(topo, classifyUpDown(topo, m1Tree(topo)),
                         upDownTurnSet());
   const RoutingTable table = RoutingTable::build(perms);
-  std::vector<ChannelId> nexts;
-  table.nextChannels(topo.channel(0, 1), 1, nexts);
-  EXPECT_TRUE(nexts.empty());
+  EXPECT_TRUE(table.nextChannels(topo.channel(0, 1), 1).empty());
 }
 
 TEST(RoutingTable, DetectsDisconnection) {
@@ -184,10 +175,8 @@ TEST(RoutingTable, NextChannelsAnyTurnIgnoresTurnRuleOnly) {
   const RoutingTable table = RoutingTable::build(perms);
 
   const ChannelId c12 = topo.channel(1, 2);
-  std::vector<ChannelId> legal;
-  std::vector<ChannelId> any;
-  table.nextChannels(c12, 0, legal);
-  table.nextChannelsAnyTurn(c12, 0, any);
+  const Candidates legal = table.nextChannels(c12, 0);
+  const Candidates any = table.nextChannelsAnyTurn(c12, 0);
   // Toward the root both relations agree here.
   for (ChannelId c : any) {
     EXPECT_EQ(table.channelSteps(0, c), table.channelSteps(0, c12) - 1);
@@ -210,12 +199,11 @@ TEST(RoutingTable, NextChannelsAnyTurnIgnoresTurnRuleOnly) {
   for (ChannelId in = 0; in < big.channelCount() && !strictSomewhere; ++in) {
     for (NodeId dst = 0; dst < big.nodeCount(); ++dst) {
       if (big.channelDst(in) == dst || big.channelSrc(in) == dst) continue;
-      legal.clear();
-      any.clear();
-      bigTable.nextChannels(in, dst, legal);
-      bigTable.nextChannelsAnyTurn(in, dst, any);
-      EXPECT_GE(any.size(), legal.size());
-      if (any.size() > legal.size()) {
+      const std::size_t legalCount = bigTable.nextChannels(in, dst).size();
+      const std::size_t anyCount =
+          bigTable.nextChannelsAnyTurn(in, dst).size();
+      EXPECT_GE(anyCount, legalCount);
+      if (anyCount > legalCount) {
         strictSomewhere = true;
         break;
       }
@@ -229,9 +217,22 @@ TEST(RoutingTable, NextChannelsAnyTurnEmptyAtDestination) {
   TurnPermissions perms(topo, classifyUpDown(topo, m1Tree(topo)),
                         upDownTurnSet());
   const RoutingTable table = RoutingTable::build(perms);
-  std::vector<ChannelId> any;
-  table.nextChannelsAnyTurn(topo.channel(0, 1), 1, any);
-  EXPECT_TRUE(any.empty());
+  EXPECT_TRUE(table.nextChannelsAnyTurn(topo.channel(0, 1), 1).empty());
+}
+
+// Candidate queries hold at most kMaxCandidates channels inline, so a
+// topology with a larger degree is refused at build time, in any build
+// mode.
+TEST(RoutingTable, RefusesDegreeAboveCandidateCapacity) {
+  const Topology fits = topo::star(kMaxCandidates + 1);  // hub degree 32
+  TurnPermissions fitsPerms(fits, classifyUpDown(fits, m1Tree(fits)),
+                            upDownTurnSet());
+  EXPECT_TRUE(RoutingTable::build(fitsPerms).allPairsConnected());
+
+  const Topology wide = topo::star(kMaxCandidates + 2);
+  TurnPermissions widePerms(wide, classifyUpDown(wide, m1Tree(wide)),
+                            upDownTurnSet());
+  EXPECT_THROW(RoutingTable::build(widePerms), std::invalid_argument);
 }
 
 TEST(RoutingTable, AveragePathLengthOnCompleteGraph) {

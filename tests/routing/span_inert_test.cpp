@@ -130,9 +130,9 @@ TEST(SpanInertTest, InstrumentedRebuildDeadMatchesPlainRebuild) {
   alive[dead2 >> 6] &= ~(std::uint64_t{1} << (dead2 & 63));
 
   const RoutingTable expected =
-      RoutingTable::rebuildDead(plain.table(), nullptr, alive);
+      *RoutingTable::rebuildDead(plain.table(), nullptr, alive);
   util::SpanRecorder spans;
-  const RoutingTable actual = RoutingTable::rebuildDead(
+  const RoutingTable actual = *RoutingTable::rebuildDead(
       plain.table(), nullptr, alive, nullptr, &spans);
   EXPECT_TRUE(actual.identicalTo(expected));
   EXPECT_GT(spans.size(), 0u);
