@@ -12,8 +12,8 @@
 //                   skipped above --dfs-max-switches (reported as null)
 //   releaseBatched  production release pass (SCC condensation + bitset
 //                   reachability, incrementally maintained)
-//   tableSerial     RoutingTable::build, single thread (one reverse BFS
-//                   per destination)
+//   tableSerial     RoutingTable::build, single thread (bit-parallel
+//                   reverse BFS, 64 destinations per sweep)
 //   tableParallel   RoutingTable::build over --threads workers
 //                   (bit-for-bit identical output)
 //   fullSerial      tree -> table end to end, single thread
@@ -541,7 +541,7 @@ int main(int argc, char** argv) {
       "threads", static_cast<int>(hw == 0 ? 1 : hw),
       "worker threads for the parallel stages");
   auto maxSwitches = cli.positiveOption<int>(
-      "max-switches", 1024, "largest network size in the sweep (up to 4096)");
+      "max-switches", 1024, "largest network size in the sweep (up to 8192)");
   auto minSwitches = cli.positiveOption<int>(
       "min-switches", 64, "smallest network size in the sweep");
   auto repeats = cli.positiveOption<int>(
@@ -602,7 +602,7 @@ int main(int argc, char** argv) {
   std::printf("%8s %8s %9s %9s %9s %9s %9s %9s %9s %9s %9s %9s\n",
               "switches", "tree", "repair", "relDFS", "relBatch", "tblSer",
               "tblPar", "fullSer", "rcfgFull", "rcfgIncr", "tblMiB", "rssMB");
-  for (const int size : {64, 128, 256, 512, 1024, 2048, 4096}) {
+  for (const int size : {64, 128, 256, 512, 1024, 2048, 4096, 8192}) {
     if (size < *minSwitches || size > *maxSwitches) continue;
     const SizeResult r =
         benchOneSize(static_cast<topo::NodeId>(size), pool, *repeats, *dfsMax,

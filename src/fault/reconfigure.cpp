@@ -95,6 +95,22 @@ ComponentLabels labelComponents(const Topology& topo,
   return labels;
 }
 
+/// What an outcome reports about a routed table: acyclicity of its rule's
+/// channel-dependency graph, and the legal-distance totals of one
+/// destination-major scan over pairs of alive nodes.
+struct EpochCheck {
+  bool acyclic = false;
+  RoutingTable::PairTotals pairs;
+};
+
+EpochCheck checkEpoch(const RoutingTable& table,
+                      std::span<const std::uint8_t> nodeAlive,
+                      util::SpanRecorder* spans) {
+  util::ScopedSpan verifySpan(spans, "verify");
+  return {routing::checkChannelDependencies(table.permissions()).acyclic,
+          table.pairTotals(nodeAlive)};
+}
+
 }  // namespace
 
 ReconfigOutcome Reconfigurator::rebuild(
@@ -132,8 +148,7 @@ ReconfigOutcome Reconfigurator::rebuild(
   // never consulted) and DOWN/UP rule with the repair and release passes.
   std::vector<Component> parts;
   std::vector<NodeId> hostToSub(n, topo::kInvalidNode);
-  double pathLengthSum = 0.0;
-  std::uint64_t reachablePairs = 0;
+  RoutingTable::PairTotals pairs;
   for (const auto& m : members) {
     if (m.size() < 2) continue;
     Component part;
@@ -161,22 +176,17 @@ ReconfigOutcome Reconfigurator::rebuild(
     part.routing = std::make_unique<routing::Routing>(
         core::buildDownUp(*part.sub, ct, {.pool = pool_, .spans = spans_}));
 
-    util::ScopedSpan verifySpan(spans_, "verify");
-    const routing::VerifyReport report = routing::verifyRouting(*part.routing);
-    verifySpan.close();
-    out.deadlockFree = out.deadlockFree && report.deadlockFree;
-    out.componentsConnected = out.componentsConnected && report.connected;
-    out.unreachablePairs += report.unreachablePairs;
-    const std::uint64_t pairs =
-        static_cast<std::uint64_t>(m.size()) * (m.size() - 1) -
-        report.unreachablePairs;
-    pathLengthSum += report.averagePathLength * static_cast<double>(pairs);
-    reachablePairs += pairs;
+    const EpochCheck check = checkEpoch(part.routing->table(), {}, spans_);
+    out.deadlockFree = out.deadlockFree && check.acyclic;
+    out.componentsConnected =
+        out.componentsConnected && check.pairs.unreachablePairs == 0;
+    pairs.reachablePairs += check.pairs.reachablePairs;
+    pairs.unreachablePairs += check.pairs.unreachablePairs;
+    pairs.hopSum += check.pairs.hopSum;
     parts.push_back(std::move(part));
   }
-  out.averagePathLength =
-      reachablePairs == 0 ? 0.0
-                          : pathLengthSum / static_cast<double>(reachablePairs);
+  out.averagePathLength = pairs.meanHops();
+  out.unreachablePairs = pairs.unreachablePairs;
   // Ordered alive pairs in different components are unreachable by design.
   out.unreachablePairs += static_cast<std::uint64_t>(out.aliveNodes) *
                               (out.aliveNodes - 1) -
@@ -314,8 +324,8 @@ ReconfigOutcome Reconfigurator::rebuildIncremental(
   // region the turn rule funnels traffic through) — re-rooting may fix
   // that, so fall back to the full rebuild.  Only a dirty destination can
   // lose a source (clean rows keep every distance), so each is checked as
-  // soon as its BFS ends and the first miss abandons the incremental
-  // attempt before the remaining BFS work and the verify step.
+  // soon as its BFS batch ends and the first miss abandons the incremental
+  // attempt before the remaining batches and the verify step.
   const NodeId n = topo.nodeCount();
   const auto reachedByComponent = [&labels, n](const RoutingTable& table,
                                                NodeId dst) {
@@ -338,39 +348,22 @@ ReconfigOutcome Reconfigurator::rebuildIncremental(
   out.table->rebindPermissions(*out.perms);
   out.rebuiltDestinations = static_cast<std::uint32_t>(dirty.size());
 
-  util::ScopedSpan verifySpan(spans_, "verify");
   // The inherited rule's channel-dependency graph was acyclic and lost only
   // vertices/edges, so the epoch is deadlock-free by construction; the
-  // check below re-verifies the (superset) inherited graph.
-  out.deadlockFree = routing::checkChannelDependencies(*out.perms).acyclic;
-
-  // All-pairs scan: the path-length mean, and a re-check of every pair
-  // (clean destinations included) against the component labels.
-  std::uint64_t reachable = 0;
-  double pathSum = 0.0;
-  for (NodeId s = 0; s < n; ++s) {
-    if (labels.comp[s] == kNoComp) continue;
-    for (NodeId d = 0; d < n; ++d) {
-      if (d == s || labels.comp[d] == kNoComp) continue;
-      const std::uint16_t dist = out.table->distance(s, d);
-      if (dist == routing::kNoPath) {
-        ++out.unreachablePairs;
-      } else {
-        ++reachable;
-        pathSum += dist;
-      }
-    }
-  }
+  // check re-verifies the (superset) inherited graph.  The pair scan
+  // re-checks every alive pair (clean destinations included) against the
+  // component labels and yields the path-length mean.
+  const EpochCheck check = checkEpoch(*out.table, nodeAlive, spans_);
+  out.deadlockFree = check.acyclic;
+  out.unreachablePairs = check.pairs.unreachablePairs;
   const std::uint64_t crossComponentPairs =
       static_cast<std::uint64_t>(out.aliveNodes) * (out.aliveNodes - 1) -
       labels.sameComponentPairs;
   out.componentsConnected = out.unreachablePairs == crossComponentPairs;
-  verifySpan.close();
   if (!out.componentsConnected || !out.deadlockFree) {
     return rebuild(linkAlive, nodeAlive);
   }
-  out.averagePathLength =
-      reachable == 0 ? 0.0 : pathSum / static_cast<double>(reachable);
+  out.averagePathLength = check.pairs.meanHops();
   auditOutcome(out, linkAlive, nodeAlive, "reconfig_incremental");
   return out;
 }

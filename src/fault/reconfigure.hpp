@@ -19,7 +19,6 @@
 #include <span>
 
 #include "routing/routing_table.hpp"
-#include "routing/verify.hpp"
 
 namespace downup::verify {
 class OracleGate;
@@ -97,9 +96,12 @@ class Reconfigurator {
   /// when a channel revived relative to prevTable, or when the inherited
   /// rule leaves a within-component pair unreachable that re-rooting could
   /// serve (e.g. the failure cut off the old tree root's region); that is
-  /// checked per dirty destination as soon as its BFS ends, so a fallback
-  /// skips the remaining BFS work and the verify step.  The outcome
-  /// reports which path ran via `incremental`.
+  /// checked per dirty destination as soon as its 64-destination BFS batch
+  /// ends, so a fallback skips the remaining batches and the verify step.
+  /// Verify is the same as rebuild()'s: the channel-dependency check plus
+  /// one destination-major scan of the table for the unreachable-pair
+  /// count and the path-length sum.  The outcome reports which path ran
+  /// via `incremental`.
   ReconfigOutcome rebuildIncremental(
       const routing::RoutingTable& prevTable,
       std::span<const std::uint8_t> linkAlive,

@@ -1,7 +1,11 @@
 #include "routing/routing_table.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
+#include <cassert>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -21,40 +25,145 @@ inline std::size_t threadsOf(const util::ThreadPool* pool) noexcept {
   return pool == nullptr ? 1 : pool->threadCount();
 }
 
-}  // namespace
+/// Destinations one BFS sweep serves: one lane per bit of a uint64_t.
+constexpr std::size_t kLanes = 64;
 
-void RoutingTable::bfsDestination(NodeId dst,
-                                  std::span<const std::uint64_t> channelAlive,
-                                  std::vector<ChannelId>& queue) {
-  const Topology& topo = *topo_;
-  auto* steps = &steps_[static_cast<std::size_t>(dst) * channelCount_];
-  std::fill(steps, steps + channelCount_, kNoPath);
-  queue.clear();
-  queue.reserve(channelCount_);
-  // Seeds are the input channels of dst (reverses of its outputs); the
-  // final distances do not depend on intra-layer queue order, so any seed
-  // enumeration order yields the same steps row.
-  for (ChannelId out : topo.outputChannels(dst)) {
-    const ChannelId c = Topology::reverseChannel(out);
-    if (!aliveBit(channelAlive, c)) continue;
-    steps[c] = 1;
-    queue.push_back(c);
-  }
-  // Reverse adjacency is implicit: the predecessors of channel c are the
-  // input channels of src(c) whose turn onto c is allowed.
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const ChannelId c = queue[head];
-    const NodeId via = topo.channelSrc(c);
-    const std::uint16_t nextSteps = static_cast<std::uint16_t>(steps[c] + 1);
-    for (ChannelId out : topo.outputChannels(via)) {
-      const ChannelId in = Topology::reverseChannel(out);
-      if (steps[in] != kNoPath) continue;
-      if (!aliveBit(channelAlive, in)) continue;
-      if (!perms_->allowed(via, in, c)) continue;
-      steps[in] = nextSteps;
-      queue.push_back(in);
+/// Legal predecessors of every channel, CSR-packed: of(c) lists the alive
+/// input channels e of src(c) whose turn onto c is allowed, in
+/// outputChannels(src(c)) order.  Dead channels have none.  Built once per
+/// build()/rebuildDead() call and dropped with it; the table never stores
+/// it.
+class Predecessors {
+ public:
+  Predecessors(const TurnPermissions& perms,
+               std::span<const std::uint64_t> channelAlive) {
+    const Topology& topo = perms.topology();
+    const ChannelId channels = topo.channelCount();
+    offsets_.reserve(channels + 1);
+    offsets_.push_back(0);
+    for (ChannelId c = 0; c < channels; ++c) {
+      if (aliveBit(channelAlive, c)) {
+        const NodeId via = topo.channelSrc(c);
+        for (const ChannelId out : topo.outputChannels(via)) {
+          const ChannelId in = Topology::reverseChannel(out);
+          if (aliveBit(channelAlive, in) && perms.allowed(via, in, c)) {
+            preds_.push_back(in);
+          }
+        }
+      }
+      offsets_.push_back(static_cast<std::uint32_t>(preds_.size()));
     }
   }
+
+  std::span<const ChannelId> of(ChannelId c) const noexcept {
+    return {preds_.data() + offsets_[c], preds_.data() + offsets_[c + 1]};
+  }
+
+ private:
+  std::vector<std::uint32_t> offsets_;
+  std::vector<ChannelId> preds_;
+};
+
+/// Per-thread sweep state.  Bit i of a channel's word belongs to the batch's
+/// i-th destination: seen (steps already final), frontier (reached at the
+/// current level) and next (reached at the following level).  `active`
+/// lists the channels whose frontier word is non-zero, `touched` those
+/// whose next word is; settling the next level turns `touched` into the
+/// new `active`.
+struct LaneScratch {
+  std::vector<std::uint64_t> seen;
+  std::vector<std::uint64_t> frontier;
+  std::vector<std::uint64_t> next;
+  std::vector<ChannelId> active;
+  std::vector<ChannelId> touched;
+};
+
+/// Reverse BFS from up to kLanes destinations at once over the channel
+/// graph, writing each destination's whole steps row.  Lanes only ever OR
+/// their own bit, so every row equals the one a BFS from its destination
+/// alone would produce; rows of distinct destinations are disjoint.
+void bfsBatch(const Topology& topo, const Predecessors& preds,
+              std::span<const std::uint64_t> channelAlive,
+              std::span<const NodeId> dsts, std::uint16_t* steps,
+              LaneScratch& s) {
+  assert(dsts.size() <= kLanes);
+  const std::size_t channels = topo.channelCount();
+  s.seen.assign(channels, 0);
+  s.next.assign(channels, 0);
+  s.frontier.resize(channels);
+  s.active.clear();
+
+  // Seeds: the alive input channels of each destination, one step away.
+  std::array<std::uint16_t*, kLanes> rows;
+  for (std::size_t lane = 0; lane < dsts.size(); ++lane) {
+    std::uint16_t* row = rows[lane] =
+        steps + static_cast<std::size_t>(dsts[lane]) * channels;
+    std::fill(row, row + channels, kNoPath);
+    for (const ChannelId out : topo.outputChannels(dsts[lane])) {
+      const ChannelId c = Topology::reverseChannel(out);
+      if (!aliveBit(channelAlive, c)) continue;
+      row[c] = 1;
+      if (s.seen[c] == 0) s.active.push_back(c);
+      s.seen[c] |= std::uint64_t{1} << lane;
+    }
+  }
+  for (const ChannelId c : s.active) s.frontier[c] = s.seen[c];
+
+  // Level expansion: push each frontier word into the predecessors' next
+  // words (lanes that already reached a predecessor drop out), then settle
+  // the lanes that are new at each touched channel.
+  for (std::uint16_t level = 2; !s.active.empty(); ++level) {
+    s.touched.clear();
+    for (const ChannelId c : s.active) {
+      const std::uint64_t reach = s.frontier[c];
+      for (const ChannelId e : preds.of(c)) {
+        const std::uint64_t fresh = reach & ~s.seen[e];
+        if (fresh == 0) continue;
+        if (s.next[e] == 0) s.touched.push_back(e);
+        s.next[e] |= fresh;
+      }
+    }
+    for (const ChannelId e : s.touched) {
+      const std::uint64_t fresh = s.next[e];
+      s.next[e] = 0;
+      s.seen[e] |= fresh;
+      s.frontier[e] = fresh;
+      for (std::uint64_t lanes = fresh; lanes != 0; lanes &= lanes - 1) {
+        const auto lane = static_cast<std::size_t>(std::countr_zero(lanes));
+        rows[lane][e] = level;
+      }
+    }
+    std::swap(s.active, s.touched);
+  }
+}
+
+}  // namespace
+
+bool RoutingTable::computeRows(std::span<const NodeId> dsts,
+                               util::ThreadPool* pool,
+                               std::span<const std::uint64_t> channelAlive,
+                               const DestinationCheck& check) {
+  const Predecessors preds(*perms_, channelAlive);
+  const std::size_t batches = (dsts.size() + kLanes - 1) / kLanes;
+  std::atomic<bool> rejected{false};
+  // Batches write disjoint rows, so they fan out directly.  The sweep
+  // scratch is per OS thread and grows once to channelCount_ words per
+  // array; only the predecessor lists are allocated per call.
+  util::parallelFor(pool, batches, [&](std::size_t b) {
+    if (rejected.load(std::memory_order_relaxed)) return;
+    const std::span<const NodeId> batch =
+        dsts.subspan(b * kLanes, std::min(kLanes, dsts.size() - b * kLanes));
+    thread_local LaneScratch scratch;
+    bfsBatch(*topo_, preds, channelAlive, batch, steps_.data(), scratch);
+    if (!check) return;
+    for (const NodeId dst : batch) {
+      if (!check(*this, dst)) {
+        rejected.store(true, std::memory_order_relaxed);
+        return;
+      }
+    }
+  });
+  return !rejected.load();
 }
 
 RoutingTable::RoutingTable(const TurnPermissions& perms)
@@ -84,16 +193,12 @@ RoutingTable RoutingTable::build(const TurnPermissions& perms,
 
   RoutingTable table(perms);
   table.steps_.resize(static_cast<std::size_t>(n) * table.channelCount_);
-
-  // Per-destination rows are disjoint, so the BFS fans out directly.  The
-  // queue is per OS thread and grows once to channelCount_; repeated builds
-  // on warm threads allocate nothing here.
+  std::vector<NodeId> dsts(n);
+  std::iota(dsts.begin(), dsts.end(), NodeId{0});
   {
     util::ScopedSpan bfsSpan(spans, "bfs");
-    util::parallelFor(pool, n, [&table, channelAlive](std::size_t dst) {
-      thread_local std::vector<ChannelId> queue;
-      table.bfsDestination(static_cast<NodeId>(dst), channelAlive, queue);
-    });
+    bfsSpan.arg("batches", (n + kLanes - 1) / kLanes);
+    table.computeRows(dsts, pool, channelAlive, {});
   }
   invokeTableAuditHook(perms, table, channelAlive);
   return table;
@@ -185,7 +290,7 @@ std::optional<RoutingTable> RoutingTable::rebuildDead(
 
   std::vector<ChannelId> newlyDead;
   std::vector<std::uint8_t> dirty;
-  std::uint32_t dirtyCount = 0;
+  std::vector<NodeId> dirtyList;
   {
     util::ScopedSpan deltaSpan(spans, "dirty_delta");
     ChannelId revived = topo::kInvalidChannel;
@@ -195,38 +300,28 @@ std::optional<RoutingTable> RoutingTable::rebuildDead(
           " is alive in the mask but dead in the previous table; a revived "
           "channel needs a full build");
     }
-    for (const std::uint8_t bit : dirty) dirtyCount += bit;
-    deltaSpan.arg("dirty", dirtyCount);
+    for (NodeId d = 0; d < n; ++d) {
+      if (dirty[d]) dirtyList.push_back(d);
+    }
+    deltaSpan.arg("dirty", dirtyList.size());
     deltaSpan.arg("deadChannels", newlyDead.size());
   }
-  if (dirtyDestinations != nullptr) {
-    dirtyDestinations->clear();
-    for (NodeId d = 0; d < n; ++d) {
-      if (dirty[d]) dirtyDestinations->push_back(d);
-    }
-  }
+  if (dirtyDestinations != nullptr) *dirtyDestinations = dirtyList;
 
   // Clean rows keep prev's steps with the dead channels pinned to kNoPath;
-  // dirty rows are recomputed and checked as soon as they are final.
+  // dirty rows are recomputed in batches and checked as soon as their
+  // batch is final.
   RoutingTable table(prev);
-  std::atomic<bool> rejected{false};
+  for (NodeId d = 0; d < n; ++d) {
+    if (dirty[d]) continue;
+    std::uint16_t* steps =
+        &table.steps_[static_cast<std::size_t>(d) * table.channelCount_];
+    for (const ChannelId c : newlyDead) steps[c] = kNoPath;
+  }
   util::ScopedSpan bfsSpan(spans, "bfs");
-  bfsSpan.arg("dirty", dirtyCount);
-  util::parallelFor(pool, n, [&](std::size_t d) {
-    const auto dst = static_cast<NodeId>(d);
-    if (!dirty[d]) {
-      std::uint16_t* steps = &table.steps_[d * table.channelCount_];
-      for (const ChannelId c : newlyDead) steps[c] = kNoPath;
-      return;
-    }
-    if (rejected.load(std::memory_order_relaxed)) return;
-    thread_local std::vector<ChannelId> queue;
-    table.bfsDestination(dst, channelAlive, queue);
-    if (check && !check(table, dst)) {
-      rejected.store(true, std::memory_order_relaxed);
-    }
-  });
-  if (rejected.load()) {
+  bfsSpan.arg("dirty", dirtyList.size());
+  bfsSpan.arg("batches", (dirtyList.size() + kLanes - 1) / kLanes);
+  if (!table.computeRows(dirtyList, pool, channelAlive, check)) {
     bfsSpan.arg("rejected", 1);
     return std::nullopt;
   }
@@ -263,14 +358,27 @@ RoutingTable RoutingTable::remapComponents(
   // channel-disjoint, so writes never collide.  Candidate order survives
   // the mapping because sub node ids ascend with host ids
   // (ComponentMapping contract), so a host adjacency scan meets a
-  // component's channels in the order a sub scan would.
+  // component's channels in the order a sub scan would.  A part whose maps
+  // are the identity (every all-alive rebuild) copies whole rows instead.
+  const auto isIdentity = [](auto map) {
+    for (std::size_t i = 0; i < map.size(); ++i) {
+      if (map[i] != i) return false;
+    }
+    return true;
+  };
   for (const ComponentMapping& part : parts) {
     const RoutingTable& sub = *part.table;
+    const bool identity =
+        isIdentity(part.nodeToHost) && isIdentity(part.channelToHost);
     for (NodeId subDst = 0; subDst < sub.nodeCount_; ++subDst) {
       std::uint16_t* hostRow =
           &host.steps_[static_cast<std::size_t>(part.nodeToHost[subDst]) *
                        channels];
       const std::uint16_t* subRow = sub.row(subDst);
+      if (identity) {
+        std::copy_n(subRow, sub.channelCount_, hostRow);
+        continue;
+      }
       for (ChannelId c = 0; c < sub.channelCount_; ++c) {
         hostRow[part.channelToHost[c]] = subRow[c];
       }
@@ -288,30 +396,46 @@ std::uint16_t RoutingTable::distance(NodeId src, NodeId dst) const noexcept {
   return best;
 }
 
-bool RoutingTable::allPairsConnected() const noexcept {
+RoutingTable::PairTotals RoutingTable::pairTotals(
+    std::span<const std::uint8_t> nodeAlive) const {
+  const Topology& topo = *topo_;
   const NodeId n = nodeCount_;
-  for (NodeId s = 0; s < n; ++s) {
-    for (NodeId d = 0; d < n; ++d) {
-      if (s != d && distance(s, d) == kNoPath) return false;
+  const topo::LinkId links = topo.linkCount();
+  const auto alive = [nodeAlive](NodeId v) {
+    return nodeAlive.empty() || nodeAlive[v] != 0;
+  };
+  // distance(s, d) for every s at once: one pass over row d in channel
+  // order, folding each channel into the minimum of its source node.
+  std::vector<std::uint16_t> distance(n);
+  PairTotals totals;
+  for (NodeId d = 0; d < n; ++d) {
+    if (!alive(d)) continue;
+    const std::uint16_t* steps = row(d);
+    std::fill(distance.begin(), distance.end(), kNoPath);
+    for (topo::LinkId l = 0; l < links; ++l) {
+      const auto [a, b] = topo.linkEnds(l);
+      distance[a] = std::min(distance[a], steps[2 * l]);
+      distance[b] = std::min(distance[b], steps[2 * l + 1]);
+    }
+    for (NodeId s = 0; s < n; ++s) {
+      if (s == d || !alive(s)) continue;
+      if (distance[s] == kNoPath) {
+        ++totals.unreachablePairs;
+      } else {
+        ++totals.reachablePairs;
+        totals.hopSum += distance[s];
+      }
     }
   }
-  return true;
+  return totals;
+}
+
+bool RoutingTable::allPairsConnected() const {
+  return pairTotals().unreachablePairs == 0;
 }
 
 double RoutingTable::averagePathLength() const {
-  const NodeId n = nodeCount_;
-  double sum = 0.0;
-  std::uint64_t pairs = 0;
-  for (NodeId s = 0; s < n; ++s) {
-    for (NodeId d = 0; d < n; ++d) {
-      if (s == d) continue;
-      const std::uint16_t dist = distance(s, d);
-      if (dist == kNoPath) continue;
-      sum += dist;
-      ++pairs;
-    }
-  }
-  return pairs == 0 ? 0.0 : sum / static_cast<double>(pairs);
+  return pairTotals().meanHops();
 }
 
 }  // namespace downup::routing

@@ -8,6 +8,14 @@
 // yielding steps(d, c) = minimal number of channels on an allowed path that
 // starts by traversing c and ends at d.
 //
+// The BFS is bit-parallel over destinations: one sweep serves 64 of them,
+// each channel holding one uint64_t word per BFS set (seen, frontier,
+// next) with bit i belonging to the batch's i-th destination.  A level ORs
+// a channel's frontier word into its legal predecessors' next words, so
+// one pass over the predecessor lists advances all 64 searches.  Lanes
+// never influence one another, so every row is exactly the single-source
+// BFS result.
+//
 // The adaptive routing relation the simulator consumes falls out directly:
 // at node v (arrived via `in`, heading to d) every allowed output channel o
 // with steps(d, o) == steps(d, in) - 1 lies on a globally minimal legal
@@ -71,13 +79,15 @@ class Candidates {
 
 class RoutingTable {
  public:
-  /// Builds the table: one reverse BFS per destination over the channel
-  /// graph, O(destinations x channels x avg-degree) work.
+  /// Builds the table: a reverse BFS per destination over the channel
+  /// graph, run 64 destinations per bit-parallel sweep —
+  /// O(destinations / 64 x levels x channels x avg-degree) word operations
+  /// plus one write per (destination, reachable channel).
   ///
-  /// Per-destination rows are independent, so the BFS fans out over `pool`
-  /// (nullptr or a single-thread pool runs serially).  Output is
+  /// The 64-destination batches write disjoint rows, so they fan out over
+  /// `pool` (nullptr or a single-thread pool runs serially).  Output is
   /// bit-for-bit identical at any thread count: BFS distances do not depend
-  /// on intra-layer visit order.
+  /// on visit order, and lanes of one sweep never read each other's bits.
   ///
   /// `channelAlive` (optional, one bit per channel, empty = all alive)
   /// masks dead channels out of the table: they seed no BFS, relax no
@@ -94,16 +104,17 @@ class RoutingTable {
                             std::span<const std::uint64_t> channelAlive = {},
                             util::SpanRecorder* spans = nullptr);
 
-  /// Called by rebuildDead right after a dirty destination's BFS, possibly
-  /// from several pool threads at once; it may read only that
-  /// destination's row (channelSteps(dst, ·), distance(·, dst)).
-  /// Returning false abandons the rebuild.
+  /// Called by rebuildDead for each dirty destination as soon as the
+  /// 64-destination batch holding it finishes, possibly from several pool
+  /// threads at once; it may read only that destination's row
+  /// (channelSteps(dst, ·), distance(·, dst)).  Returning false abandons
+  /// the rebuild: batches not yet started are skipped.
   using DestinationCheck =
       std::function<bool(const RoutingTable& table, NodeId dst)>;
 
   /// Incremental rebuild after channel deaths: produces a table with
   /// contents identical to build(prev.permissions(), pool, channelAlive)
-  /// while re-running the per-destination BFS only for *dirty*
+  /// while re-running the batched BFS only for *dirty*
   /// destinations — those where some newly dead channel starts a minimal
   /// path from its source node, or continues some other channel's minimal
   /// path.  Clean destinations provably keep every step value (the dead
@@ -247,8 +258,27 @@ class RoutingTable {
     return sizeof(*this) + steps_.capacity() * sizeof(std::uint16_t);
   }
 
+  /// Legal-distance totals over ordered pairs (src != dst).  The sum is an
+  /// integer, so it does not depend on the order pairs are visited in.
+  struct PairTotals {
+    std::uint64_t reachablePairs = 0;
+    std::uint64_t unreachablePairs = 0;
+    std::uint64_t hopSum = 0;  // distance summed over the reachable pairs
+
+    double meanHops() const noexcept {
+      return reachablePairs == 0 ? 0.0
+                                 : static_cast<double>(hopSum) /
+                                       static_cast<double>(reachablePairs);
+    }
+  };
+
+  /// One destination-major pass over the table: each row yields the
+  /// distance from every other node.  `nodeAlive` (optional, one byte per
+  /// node, empty = all alive) restricts both endpoints to alive nodes.
+  PairTotals pairTotals(std::span<const std::uint8_t> nodeAlive = {}) const;
+
   /// True when distance(s, d) is finite for every ordered pair.
-  bool allPairsConnected() const noexcept;
+  bool allPairsConnected() const;
 
   /// Mean legal hop count over ordered pairs (src != dst); unreachable
   /// pairs are skipped (and counted by verify()).
@@ -261,8 +291,14 @@ class RoutingTable {
   const std::uint16_t* row(NodeId dst) const noexcept {
     return steps_.data() + static_cast<std::size_t>(dst) * channelCount_;
   }
-  void bfsDestination(NodeId dst, std::span<const std::uint64_t> channelAlive,
-                      std::vector<ChannelId>& queue);
+  /// Writes the steps rows of `dsts` (steps_ already sized), 64
+  /// destinations per BFS sweep, the sweeps fanned out over `pool`.
+  /// `check` (optional) sees each destination once its batch is final;
+  /// the first rejection skips the batches not yet started and makes the
+  /// result false.
+  bool computeRows(std::span<const NodeId> dsts, util::ThreadPool* pool,
+                   std::span<const std::uint64_t> channelAlive,
+                   const DestinationCheck& check);
   bool computeDeadDelta(std::span<const std::uint64_t> channelAlive,
                         std::vector<ChannelId>& newlyDead,
                         std::vector<std::uint8_t>& dirty,

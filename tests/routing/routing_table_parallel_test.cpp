@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "core/downup_routing.hpp"
@@ -18,9 +19,10 @@ namespace {
 routing::TurnPermissions makePerms(topo::NodeId switches, unsigned ports,
                                    std::uint64_t seed) {
   util::Rng topoRng(seed);
-  // Leaked on purpose: TurnPermissions keeps a reference to the topology
-  // and gtest processes exit immediately after the assertions.
-  auto* topo = new topo::Topology(
+  // Kept for the whole run: TurnPermissions keeps a reference to the
+  // topology, and deque growth never moves existing elements.
+  static std::deque<topo::Topology> topologies;
+  const topo::Topology* topo = &topologies.emplace_back(
       topo::randomIrregular(switches, {.maxPorts = ports}, topoRng));
   util::Rng treeRng(seed + 1);
   const tree::CoordinatedTree ct = tree::CoordinatedTree::build(
