@@ -1,17 +1,13 @@
 // Construction-time benchmark: how long it takes to go from a bare
 // irregular topology to a verified DOWN/UP routing table, stage by stage,
-// across network sizes — and how much the batched release pass, the
-// parallel table build and incremental reconfiguration buy over the
-// reference implementations.
+// across network sizes — and how much the parallel table build and
+// incremental reconfiguration buy over the serial and full builds.
 //
 // Stages timed per size (best of --repeats runs):
 //   tree            coordinated-tree construction (M1 policy)
 //   classify        Definition-5 channel-direction classification
 //   repair          turn-rule construction + residual-cycle repair
-//   releaseDfs      reference release pass (one DFS per candidate turn);
-//                   skipped above --dfs-max-switches (reported as null)
-//   releaseBatched  production release pass (SCC condensation + bitset
-//                   reachability, incrementally maintained)
+//   release         release pass (one DFS per candidate turn)
 //   tableSerial     RoutingTable::build, single thread (bit-parallel
 //                   reverse BFS, 64 destinations per sweep)
 //   tableParallel   RoutingTable::build over --threads workers
@@ -113,8 +109,7 @@ struct SizeResult {
   double treeMs = 0;
   double classifyMs = 0;
   double repairMs = 0;
-  double releaseDfsMs = -1;  // < 0: skipped
-  double releaseBatchedMs = 0;
+  double releaseMs = 0;
   double tableSerialMs = 0;
   double tableParallelMs = 0;
   double fullSerialMs = 0;
@@ -259,8 +254,8 @@ void printCounterTable(const CounterResult& res) {
 }
 
 SizeResult benchOneSize(topo::NodeId switches, util::ThreadPool& pool,
-                        int repeats, int dfsMaxSwitches,
-                        util::SpanRecorder* spans, util::SpanRecorder* counted,
+                        int repeats, util::SpanRecorder* spans,
+                        util::SpanRecorder* counted,
                         std::vector<CounterResult>* counterResults) {
   SizeResult res;
   res.switches = switches;
@@ -293,18 +288,12 @@ SizeResult benchOneSize(topo::NodeId switches, util::ThreadPool& pool,
     keep(core::repairTurnCycles(perms).blockedTurns);
   });
 
-  // Master repaired rule; the release stages time only the pass itself on a
+  // Master repaired rule; the release stage times only the pass itself on a
   // fresh copy each repeat.
   routing::TurnPermissions repaired(topo, dirs, core::downUpTurnSet());
   core::repairTurnCycles(repaired);
 
-  if (switches <= static_cast<topo::NodeId>(dfsMaxSwitches)) {
-    res.releaseDfsMs = timeMs(repeats, [&] {
-      routing::TurnPermissions perms = repaired;
-      keep(core::releaseRedundantProhibitionsDfs(perms).releasedTurns);
-    });
-  }
-  res.releaseBatchedMs = timeMs(repeats, [&] {
+  res.releaseMs = timeMs(repeats, [&] {
     routing::TurnPermissions perms = repaired;
     keep(core::releaseRedundantProhibitions(perms).releasedTurns);
   });
@@ -466,12 +455,7 @@ void writeJson(const char* path, const std::vector<SizeResult>& results,
     std::fprintf(out, "     \"treeMs\": %.3f, \"classifyMs\": %.3f, "
                       "\"repairMs\": %.3f,\n",
                  r.treeMs, r.classifyMs, r.repairMs);
-    if (r.releaseDfsMs < 0) {
-      std::fprintf(out, "     \"releaseDfsMs\": null,");
-    } else {
-      std::fprintf(out, "     \"releaseDfsMs\": %.3f,", r.releaseDfsMs);
-    }
-    std::fprintf(out, " \"releaseBatchedMs\": %.3f,\n", r.releaseBatchedMs);
+    std::fprintf(out, "     \"releaseMs\": %.3f,\n", r.releaseMs);
     std::fprintf(out,
                  "     \"tableSerialMs\": %.3f, \"tableParallelMs\": %.3f,\n",
                  r.tableSerialMs, r.tableParallelMs);
@@ -546,9 +530,6 @@ int main(int argc, char** argv) {
       "min-switches", 64, "smallest network size in the sweep");
   auto repeats = cli.positiveOption<int>(
       "repeats", 3, "timed repetitions per stage (best is reported)");
-  auto dfsMax = cli.positiveOption<int>(
-      "dfs-max-switches", 1024,
-      "largest size on which the reference DFS release pass is timed");
   auto jsonOpt = cli.option<std::string>(
       "json", "",
       "JSON output path (default BENCH_build.json or "
@@ -599,28 +580,25 @@ int main(int argc, char** argv) {
   }
   std::vector<CounterResult> counterResults;
   std::vector<SizeResult> results;
-  std::printf("%8s %8s %9s %9s %9s %9s %9s %9s %9s %9s %9s %9s\n",
-              "switches", "tree", "repair", "relDFS", "relBatch", "tblSer",
-              "tblPar", "fullSer", "rcfgFull", "rcfgIncr", "tblMiB", "rssMB");
+  std::printf("%8s %8s %9s %9s %9s %9s %9s %9s %9s %9s %9s\n", "switches",
+              "tree", "repair", "rel", "tblSer", "tblPar", "fullSer",
+              "rcfgFull", "rcfgIncr", "tblMiB", "rssMB");
   for (const int size : {64, 128, 256, 512, 1024, 2048, 4096, 8192}) {
     if (size < *minSwitches || size > *maxSwitches) continue;
     const SizeResult r =
-        benchOneSize(static_cast<topo::NodeId>(size), pool, *repeats, *dfsMax,
+        benchOneSize(static_cast<topo::NodeId>(size), pool, *repeats,
                      spansPtr, countedPtr, &counterResults);
     std::printf(
-        "%8u %8.2f %9.2f %9.2f %9.2f %9.2f %9.2f %9.2f %9.2f %9.2f %9.1f "
-        "%9.1f\n",
-        static_cast<unsigned>(r.switches), r.treeMs, r.repairMs,
-        r.releaseDfsMs < 0 ? 0.0 : r.releaseDfsMs, r.releaseBatchedMs,
+        "%8u %8.2f %9.2f %9.2f %9.2f %9.2f %9.2f %9.2f %9.2f %9.1f %9.1f\n",
+        static_cast<unsigned>(r.switches), r.treeMs, r.repairMs, r.releaseMs,
         r.tableSerialMs, r.tableParallelMs, r.fullSerialMs, r.reconfigFullMs,
         r.reconfigIncrMs, static_cast<double>(r.tableBytes) / 1048576.0,
         r.peakRssMb);
     std::fflush(stdout);
     results.push_back(r);
   }
-  std::printf("(milliseconds, best of %d; relDFS 0.00 = skipped above "
-              "--dfs-max-switches; %d thread%s; tblMiB = table bytes, "
-              "rssMB = peak RSS after the row)\n",
+  std::printf("(milliseconds, best of %d; %d thread%s; tblMiB = table "
+              "bytes, rssMB = peak RSS after the row)\n",
               *repeats, *threads, *threads == 1 ? "" : "s");
 
   if (!jsonPath.empty()) {

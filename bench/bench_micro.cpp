@@ -87,7 +87,7 @@ void BM_BuildDownUpComplete(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildDownUpComplete)->Arg(32)->Arg(128);
 
-void BM_ReleasePass(benchmark::State& state) {
+void BM_Release(benchmark::State& state) {
   const topo::Topology topo = makeTopology(state.range(0), 4);
   util::Rng rng(3);
   const tree::CoordinatedTree ct = tree::CoordinatedTree::build(
@@ -99,7 +99,7 @@ void BM_ReleasePass(benchmark::State& state) {
     benchmark::DoNotOptimize(core::releaseRedundantProhibitions(perms));
   }
 }
-BENCHMARK(BM_ReleasePass)->Arg(32)->Arg(128);
+BENCHMARK(BM_Release)->Arg(32)->Arg(128);
 
 void BM_RoutingTable(benchmark::State& state) {
   const topo::Topology topo = makeTopology(state.range(0), 4);

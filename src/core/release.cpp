@@ -1,7 +1,7 @@
 #include "core/release.hpp"
 
-#include <algorithm>
-#include <cassert>
+#include <cstdint>
+#include <vector>
 
 namespace downup::core {
 
@@ -13,47 +13,22 @@ using routing::TurnPermissions;
 
 namespace {
 
-constexpr std::uint32_t kUnvisited = 0xffffffffu;
-
-/// Does node v have at least one input with direction d1 and one output
-/// with direction RD_TREE (i.e. is the release meaningful there)?
-bool hasCandidatePair(const TurnPermissions& perms, NodeId v, Dir d1) {
-  const Topology& topo = perms.topology();
-  bool haveIn = false;
-  bool haveOut = false;
-  for (ChannelId out : topo.outputChannels(v)) {
-    haveOut = haveOut || perms.dir(out) == Dir::kRdTree;
-    haveIn = haveIn || perms.dir(Topology::reverseChannel(out)) == d1;
-  }
-  return haveIn && haveOut;
-}
-
-/// Scratch of the reference DFS implementation, hoisted out of the
-/// per-candidate helpers so one allocation set serves the whole pass.
+/// Scratch shared by every candidate of one pass.
 struct DfsScratch {
-  std::vector<ChannelId> inputs;
-  std::vector<ChannelId> outputs;
+  std::vector<ChannelId> inputs;   // d1 inputs of the candidate's node
+  std::vector<ChannelId> outputs;  // RD_TREE outputs of the candidate's node
   std::vector<ChannelId> stack;
   std::vector<std::uint8_t> isTarget;
   std::vector<std::uint8_t> seen;
 };
 
-/// Would releasing (d1 -> RD_TREE) at v close a turn cycle?  `perms` must
-/// already carry the tentative release.  A new channel-dependency edge is
-/// (e1 -> e2) for every input e1 of v with direction d1 and output e2 with
-/// direction RD_TREE; a new cycle exists iff some e2 reaches some e1.
-bool releaseClosesCycle(const TurnPermissions& perms, NodeId v, Dir d1,
-                        DfsScratch& s) {
+/// Would releasing (d1 -> RD_TREE) at the candidate's node close a turn
+/// cycle?  `perms` must already carry the tentative release.  A new
+/// channel-dependency edge is (e1 -> e2) for every input e1 in `s.inputs`
+/// and output e2 in `s.outputs`; a new cycle exists iff some e2 reaches
+/// some e1.
+bool releaseClosesCycle(const TurnPermissions& perms, DfsScratch& s) {
   const Topology& topo = perms.topology();
-  s.inputs.clear();
-  s.outputs.clear();
-  for (ChannelId out : topo.outputChannels(v)) {
-    if (perms.dir(out) == Dir::kRdTree) s.outputs.push_back(out);
-    const ChannelId in = Topology::reverseChannel(out);
-    if (perms.dir(in) == d1) s.inputs.push_back(in);
-  }
-  if (s.inputs.empty() || s.outputs.empty()) return false;
-
   s.isTarget.assign(topo.channelCount(), 0);
   for (ChannelId in : s.inputs) s.isTarget[in] = 1;
 
@@ -83,16 +58,24 @@ bool releaseClosesCycle(const TurnPermissions& perms, NodeId v, Dir d1,
 
 }  // namespace
 
-ReleaseStats releaseRedundantProhibitionsDfs(TurnPermissions& perms) {
+ReleaseStats releaseRedundantProhibitions(TurnPermissions& perms) {
   ReleaseStats stats;
   DfsScratch scratch;
-  const NodeId n = perms.topology().nodeCount();
+  const Topology& topo = perms.topology();
+  const NodeId n = topo.nodeCount();
   for (NodeId v = 0; v < n; ++v) {
     for (Dir d1 : {Dir::kLuCross, Dir::kRuCross}) {
-      if (!hasCandidatePair(perms, v, d1)) continue;
+      scratch.inputs.clear();
+      scratch.outputs.clear();
+      for (ChannelId out : topo.outputChannels(v)) {
+        if (perms.dir(out) == Dir::kRdTree) scratch.outputs.push_back(out);
+        const ChannelId in = Topology::reverseChannel(out);
+        if (perms.dir(in) == d1) scratch.inputs.push_back(in);
+      }
+      if (scratch.inputs.empty() || scratch.outputs.empty()) continue;
       ++stats.candidateTurns;
       perms.releaseAt(v, d1, Dir::kRdTree);
-      if (releaseClosesCycle(perms, v, d1, scratch)) {
+      if (releaseClosesCycle(perms, scratch)) {
         perms.revokeReleaseAt(v, d1, Dir::kRdTree);
       } else {
         ++stats.releasedTurns;
@@ -100,214 +83,6 @@ ReleaseStats releaseRedundantProhibitionsDfs(TurnPermissions& perms) {
     }
   }
   return stats;
-}
-
-// --- batched pass -----------------------------------------------------------
-
-void ReleasePass::computeSccs(const TurnPermissions& perms) {
-  const Topology& topo = perms.topology();
-  const std::uint32_t channels = topo.channelCount();
-  disc_.assign(channels, kUnvisited);
-  low_.assign(channels, 0);
-  onStack_.assign(channels, 0);
-  sccOf_.assign(channels, 0);
-  tarjanStack_.clear();
-  frames_.clear();
-  sccCount_ = 0;
-
-  // Iterative Tarjan over the channel-dependency graph: successors of c are
-  // the allowed output channels at dst(c).  SCC ids come out in reverse
-  // topological order of the condensation (an SCC is numbered only after
-  // everything it can reach), so reach sets fold correctly in id order.
-  std::uint32_t timer = 0;
-  for (ChannelId root = 0; root < channels; ++root) {
-    if (disc_[root] != kUnvisited) continue;
-    disc_[root] = low_[root] = timer++;
-    onStack_[root] = 1;
-    tarjanStack_.push_back(root);
-    frames_.push_back({root, 0});
-    while (!frames_.empty()) {
-      Frame& frame = frames_.back();
-      const NodeId via = topo.channelDst(frame.channel);
-      const auto outs = topo.outputChannels(via);
-      bool descended = false;
-      while (frame.outIdx < outs.size()) {
-        const ChannelId next = outs[frame.outIdx++];
-        if (!perms.allowed(via, frame.channel, next)) continue;
-        if (disc_[next] == kUnvisited) {
-          disc_[next] = low_[next] = timer++;
-          onStack_[next] = 1;
-          tarjanStack_.push_back(next);
-          frames_.push_back({next, 0});
-          descended = true;
-          break;
-        }
-        if (onStack_[next]) {
-          low_[frame.channel] = std::min(low_[frame.channel], disc_[next]);
-        }
-      }
-      if (descended) continue;
-      const ChannelId done = frames_.back().channel;
-      frames_.pop_back();
-      if (!frames_.empty()) {
-        ChannelId parent = frames_.back().channel;
-        low_[parent] = std::min(low_[parent], low_[done]);
-      }
-      if (low_[done] == disc_[done]) {
-        for (;;) {
-          const ChannelId member = tarjanStack_.back();
-          tarjanStack_.pop_back();
-          onStack_[member] = 0;
-          sccOf_[member] = sccCount_;
-          if (member == done) break;
-        }
-        ++sccCount_;
-      }
-    }
-  }
-
-  // Group member channels by SCC (counting sort; disc_ doubles as cursor).
-  sccOffsets_.assign(sccCount_ + 1, 0);
-  for (ChannelId c = 0; c < channels; ++c) ++sccOffsets_[sccOf_[c] + 1];
-  for (SccId s = 0; s < sccCount_; ++s) sccOffsets_[s + 1] += sccOffsets_[s];
-  sccMembers_.assign(channels, 0);
-  for (SccId s = 0; s < sccCount_; ++s) disc_[s] = sccOffsets_[s];
-  for (ChannelId c = 0; c < channels; ++c) sccMembers_[disc_[sccOf_[c]]++] = c;
-}
-
-namespace {
-
-inline bool testBit(const std::uint64_t* row, std::uint32_t bit) noexcept {
-  return (row[bit >> 6] >> (bit & 63)) & 1u;
-}
-
-inline void setBit(std::uint64_t* row, std::uint32_t bit) noexcept {
-  row[bit >> 6] |= std::uint64_t{1} << (bit & 63);
-}
-
-/// dst |= src over `words`; returns whether any bit changed.
-inline bool orRow(std::uint64_t* dst, const std::uint64_t* src,
-                  std::size_t words) noexcept {
-  std::uint64_t changed = 0;
-  for (std::size_t w = 0; w < words; ++w) {
-    const std::uint64_t grown = src[w] & ~dst[w];
-    changed |= grown;
-    dst[w] |= grown;
-  }
-  return changed != 0;
-}
-
-}  // namespace
-
-void ReleasePass::computeReach(const TurnPermissions& perms) {
-  const Topology& topo = perms.topology();
-  words_ = (sccCount_ + 63) / 64;
-  reach_.assign(static_cast<std::size_t>(sccCount_) * words_, 0);
-  cyclic_.assign(sccCount_, 0);
-  if (revAdj_.size() < sccCount_) revAdj_.resize(sccCount_);
-  for (SccId s = 0; s < sccCount_; ++s) revAdj_[s].clear();
-  worklist_.clear();
-
-  // Reverse topological fold: every successor SCC has a lower id, so its
-  // reach row is final when we OR it in.  revAdj_ records each condensation
-  // edge the first time it is seen (a bit transition); transitive duplicates
-  // can be skipped because their reverse paths run over recorded edges.
-  for (SccId s = 0; s < sccCount_; ++s) {
-    cyclic_[s] = sccOffsets_[s + 1] - sccOffsets_[s] > 1;
-    std::uint64_t* row = reachRow(s);
-    for (std::uint32_t i = sccOffsets_[s]; i < sccOffsets_[s + 1]; ++i) {
-      const ChannelId c = sccMembers_[i];
-      const NodeId via = topo.channelDst(c);
-      for (ChannelId next : topo.outputChannels(via)) {
-        if (!perms.allowed(via, c, next)) continue;
-        const SccId t = sccOf_[next];
-        if (t == s || testBit(row, t)) continue;
-        revAdj_[t].push_back(s);
-        setBit(row, t);
-        orRow(row, reachRow(t), words_);
-      }
-    }
-  }
-}
-
-bool ReleasePass::outputReachesInput() const {
-  for (const ChannelId out : outputs_) {
-    const SccId from = sccOf_[out];
-    const std::uint64_t* row = reachRow(from);
-    for (const ChannelId in : inputs_) {
-      const SccId to = sccOf_[in];
-      if (from == to ? cyclic_[from] != 0 : testBit(row, to)) return true;
-    }
-  }
-  return false;
-}
-
-void ReleasePass::commitEdges(const TurnPermissions& perms, NodeId v, Dir d1) {
-  // A per-node block of (d1 -> RD_TREE) takes precedence over the release,
-  // so the dependency graph gains no edges there (the release bit is still
-  // recorded, matching the reference implementation).
-  if (perms.isBlockedAt(v, d1, Dir::kRdTree)) return;
-  for (const ChannelId in : inputs_) {
-    const SccId from = sccOf_[in];
-    std::uint64_t* fromRow = reachRow(from);
-    for (const ChannelId out : outputs_) {
-      if (out == Topology::reverseChannel(in)) continue;  // no U-turns
-      const SccId to = sccOf_[out];
-      // A release is granted only when no new edge can lie on a cycle, so
-      // it never merges SCCs: the condensation stays a DAG and only reach
-      // rows of (transitive) predecessors of `from` can grow.
-      assert(from != to);
-      if (!testBit(fromRow, to)) revAdj_[to].push_back(from);
-      bool changed = false;
-      if (!testBit(fromRow, to)) {
-        setBit(fromRow, to);
-        changed = true;
-      }
-      changed |= orRow(fromRow, reachRow(to), words_);
-      if (changed) worklist_.push_back(from);
-    }
-  }
-  while (!worklist_.empty()) {
-    const SccId grown = worklist_.back();
-    worklist_.pop_back();
-    for (const SccId pred : revAdj_[grown]) {
-      if (orRow(reachRow(pred), reachRow(grown), words_)) {
-        worklist_.push_back(pred);
-      }
-    }
-  }
-}
-
-ReleaseStats ReleasePass::run(TurnPermissions& perms) {
-  ReleaseStats stats;
-  const Topology& topo = perms.topology();
-  computeSccs(perms);
-  computeReach(perms);
-
-  const NodeId n = topo.nodeCount();
-  for (NodeId v = 0; v < n; ++v) {
-    for (Dir d1 : {Dir::kLuCross, Dir::kRuCross}) {
-      inputs_.clear();
-      outputs_.clear();
-      for (ChannelId out : topo.outputChannels(v)) {
-        if (perms.dir(out) == Dir::kRdTree) outputs_.push_back(out);
-        const ChannelId in = Topology::reverseChannel(out);
-        if (perms.dir(in) == d1) inputs_.push_back(in);
-      }
-      if (inputs_.empty() || outputs_.empty()) continue;
-      ++stats.candidateTurns;
-      if (outputReachesInput()) continue;
-      perms.releaseAt(v, d1, Dir::kRdTree);
-      commitEdges(perms, v, d1);
-      ++stats.releasedTurns;
-    }
-  }
-  return stats;
-}
-
-ReleaseStats releaseRedundantProhibitions(TurnPermissions& perms) {
-  ReleasePass pass;
-  return pass.run(perms);
 }
 
 }  // namespace downup::core

@@ -17,33 +17,11 @@
 // Nodes are processed in ascending id order; earlier releases are visible
 // to later checks, exactly as in the paper.
 //
-// Two implementations compute the identical released-turn set:
-//
-//   * releaseRedundantProhibitionsDfs — the reference: one full DFS over
-//     the (tentatively released) channel-dependency graph per candidate,
-//     O(candidates x channel-dependency edges).  Kept for the equivalence
-//     property tests and as the bench_build serial baseline.
-//   * ReleasePass / releaseRedundantProhibitions — the production pass:
-//     one Tarjan SCC condensation of the committed dependency graph, per-SCC
-//     reachability bitsets folded in reverse topological order, then O(in x
-//     out) bit probes per candidate.  Committed releases extend the
-//     condensation DAG incrementally (a release never merges SCCs: it is
-//     granted only when no released edge can lie on a cycle), propagating
-//     reach bits to ancestors over a worklist instead of re-running any
-//     graph search.  Equivalence with the DFS on the *pre-release* graph
-//     holds because any post-release cycle witness decomposes at the new
-//     edges into committed-graph segments, each of which runs from some
-//     RD_TREE output of the node to some d1 input of it.
-//
-// ReleasePass owns every scratch buffer it needs (Tarjan stacks, SCC ids,
-// reach bitsets, worklists); re-running a warmed pass on an
-// identically-sized problem performs zero heap allocations (asserted by
-// tests/core/release_alloc_test.cpp with the global-new counting pattern
-// from tests/obs/).
+// The check is the paper's: one DFS over the channel-dependency graph
+// restricted to currently-allowed turns per candidate, from the node's
+// RD_TREE outputs towards its d1 inputs, O(candidates x dependency edges).
+// DESIGN.md §11 records why no batched variant is kept.
 #pragma once
-
-#include <cstdint>
-#include <vector>
 
 #include "routing/turns.hpp"
 
@@ -54,63 +32,7 @@ struct ReleaseStats {
   unsigned candidateTurns = 0;  // (node, direction-pair) combinations tested
 };
 
-/// The batched release pass with reusable scratch.  One instance may be
-/// reused across many permission sets (of any topology); buffers grow to
-/// the high-water mark and are never shrunk.
-class ReleasePass {
- public:
-  /// Runs the release pass over `perms` in place.
-  ReleaseStats run(routing::TurnPermissions& perms);
-
- private:
-  using ChannelId = routing::ChannelId;
-  using SccId = std::uint32_t;
-
-  void computeSccs(const routing::TurnPermissions& perms);
-  void computeReach(const routing::TurnPermissions& perms);
-  bool outputReachesInput() const;
-  void commitEdges(const routing::TurnPermissions& perms, routing::NodeId v,
-                   routing::Dir d1);
-
-  std::uint64_t* reachRow(SccId s) noexcept { return reach_.data() + s * words_; }
-  const std::uint64_t* reachRow(SccId s) const noexcept {
-    return reach_.data() + s * words_;
-  }
-
-  // --- Tarjan scratch ---
-  struct Frame {
-    ChannelId channel;
-    std::uint32_t outIdx;  // next index into outputChannels(dst(channel))
-  };
-  std::vector<std::uint32_t> disc_;
-  std::vector<std::uint32_t> low_;
-  std::vector<std::uint8_t> onStack_;
-  std::vector<ChannelId> tarjanStack_;
-  std::vector<Frame> frames_;
-  std::vector<SccId> sccOf_;   // channel -> SCC (reverse topological ids)
-  std::vector<ChannelId> sccMembers_;   // channels grouped by SCC
-  std::vector<std::uint32_t> sccOffsets_;  // sccCount_ + 1
-  SccId sccCount_ = 0;
-
-  // --- reachability over the condensation ---
-  std::size_t words_ = 0;            // bitset words per SCC row
-  std::vector<std::uint64_t> reach_;  // sccCount_ x words_, successors only
-  std::vector<std::uint8_t> cyclic_;  // SCC holds >= 2 channels
-  std::vector<std::vector<SccId>> revAdj_;  // condensation predecessors
-  std::vector<SccId> worklist_;
-
-  // --- per-candidate scratch ---
-  std::vector<ChannelId> inputs_;
-  std::vector<ChannelId> outputs_;
-};
-
-/// Runs the release pass over `perms` in place (one-shot ReleasePass).
+/// Runs the release pass over `perms` in place.
 ReleaseStats releaseRedundantProhibitions(routing::TurnPermissions& perms);
-
-/// The reference implementation: one DFS over the tentatively-released
-/// dependency graph per candidate turn.  Scratch is hoisted out of the
-/// per-candidate helpers and reused across candidates, but a fresh set of
-/// buffers is still allocated per call — use ReleasePass on hot paths.
-ReleaseStats releaseRedundantProhibitionsDfs(routing::TurnPermissions& perms);
 
 }  // namespace downup::core

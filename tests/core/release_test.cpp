@@ -135,5 +135,89 @@ TEST(Release, ReleasedTurnsAreActuallyUsable) {
   }
 }
 
+routing::Topology makeTopology(std::uint64_t seed, unsigned ports) {
+  util::Rng rng(seed);
+  return topo::randomIrregular(32, {.maxPorts = ports}, rng);
+}
+
+TurnPermissions makeRepairedPerms(const routing::Topology& topo,
+                                  std::uint64_t seed) {
+  util::Rng treeRng(seed + 200);
+  const CoordinatedTree ct =
+      CoordinatedTree::build(topo, TreePolicy::kM1SmallestFirst, treeRng);
+  TurnPermissions perms = makeDownUpPerms(topo, ct);
+  repairTurnCycles(perms);
+  return perms;
+}
+
+/// Does node `v` have both a `d1` input and an RD_TREE output?
+bool isCandidate(const TurnPermissions& perms, routing::NodeId v, Dir d1) {
+  bool hasInput = false;
+  bool hasOutput = false;
+  for (ChannelId out : perms.topology().outputChannels(v)) {
+    hasOutput |= perms.dir(out) == Dir::kRdTree;
+    hasInput |= perms.dir(routing::Topology::reverseChannel(out)) == d1;
+  }
+  return hasInput && hasOutput;
+}
+
+TEST(Release, RerunOnReleasedSetIsAFixedPoint) {
+  // Releases are only ever added, so a granted release stays cycle-free on
+  // the final set and a refused one still closes its cycle: a second pass
+  // must grant exactly the same turns and change no node's mask.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (const unsigned ports : {4u, 8u}) {
+      const routing::Topology topo = makeTopology(seed, ports);
+      TurnPermissions perms = makeRepairedPerms(topo, seed);
+      const ReleaseStats first = releaseRedundantProhibitions(perms);
+      const TurnPermissions afterFirst = perms;
+      const ReleaseStats second = releaseRedundantProhibitions(perms);
+      EXPECT_EQ(second.candidateTurns, first.candidateTurns)
+          << "seed " << seed << ", " << ports << " ports";
+      EXPECT_EQ(second.releasedTurns, first.releasedTurns)
+          << "seed " << seed << ", " << ports << " ports";
+      for (routing::NodeId v = 0; v < topo.nodeCount(); ++v) {
+        for (Dir d1 : {Dir::kLuCross, Dir::kRuCross}) {
+          EXPECT_EQ(perms.isReleasedAt(v, d1, Dir::kRdTree),
+                    afterFirst.isReleasedAt(v, d1, Dir::kRdTree))
+              << "seed " << seed << ", " << ports << " ports, node " << v;
+        }
+      }
+    }
+  }
+}
+
+TEST(Release, EveryRefusedCandidateWouldCloseACycle) {
+  // Maximality, checked against the whole-graph CDG oracle rather than the
+  // pass's own DFS: granting any refused candidate on top of the final
+  // released set must make the channel-dependency graph cyclic.
+  std::size_t refused = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (const unsigned ports : {4u, 8u}) {
+      const routing::Topology topo = makeTopology(seed, ports);
+      TurnPermissions perms = makeRepairedPerms(topo, seed);
+      const ReleaseStats stats = releaseRedundantProhibitions(perms);
+      ASSERT_TRUE(routing::checkChannelDependencies(perms).acyclic);
+
+      unsigned candidates = 0;
+      for (routing::NodeId v = 0; v < topo.nodeCount(); ++v) {
+        for (Dir d1 : {Dir::kLuCross, Dir::kRuCross}) {
+          if (!isCandidate(perms, v, d1)) continue;
+          ++candidates;
+          if (perms.isReleasedAt(v, d1, Dir::kRdTree)) continue;
+          ++refused;
+          perms.releaseAt(v, d1, Dir::kRdTree);
+          EXPECT_FALSE(routing::checkChannelDependencies(perms).acyclic)
+              << "seed " << seed << ", " << ports << " ports, node " << v;
+          perms.revokeReleaseAt(v, d1, Dir::kRdTree);
+        }
+      }
+      EXPECT_EQ(candidates, stats.candidateTurns)
+          << "seed " << seed << ", " << ports << " ports";
+    }
+  }
+  EXPECT_GT(refused, 0u);
+}
+
 }  // namespace
 }  // namespace downup::core

@@ -4,7 +4,8 @@
 // flight recorder's record() never allocates at all.
 //
 // Separate binary: overrides the global allocation functions with counting
-// wrappers (one override per binary — test_release_alloc precedent).
+// wrappers (one override per binary — test_obs's zero_overhead_test
+// precedent).
 #include <gtest/gtest.h>
 
 #include <atomic>

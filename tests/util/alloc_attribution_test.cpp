@@ -4,7 +4,7 @@
 // spans independently, and the disabled path — no tracking span open, or a
 // null recorder — performs zero allocations of its own.
 //
-// Technique (same as tests/core/release_alloc_test.cpp, one override per
+// Technique (same as tests/obs/zero_overhead_test.cpp, one override per
 // test binary): the global allocation functions are replaced with wrappers
 // that feed util::noteAllocation — exactly what util/alloc_hooks.hpp does
 // in the benches — plus an off-by-default counter for the zero-allocation
