@@ -1,6 +1,7 @@
-// Ablation: coordinated-tree construction (Remark 1).  M1 (smallest-id
-// preorder) should dominate M2 (random) and M3 (largest-id) for both
-// algorithms; additionally reports sensitivity to the root choice.
+// Ablation: root choice of the coordinated tree.  The tree-policy half of
+// the ablation (Remark 1: M1 smallest-id preorder vs M2 random vs M3
+// largest-id) is the M1/M2/M3 rows of exp_paper's saturation summary and
+// Table 3, which come from the same default sweep.
 #include <iomanip>
 #include <iostream>
 
@@ -10,25 +11,12 @@
 
 int main(int argc, char** argv) {
   using namespace downup;
-  bench::ExperimentCli cli(
-      "exp_ablation_tree",
-      "Ablation: tree policy M1/M2/M3 (Remark 1) and root choice");
+  bench::ExperimentCli cli("exp_ablation_tree",
+                           "Ablation: coordinated-tree root choice");
   const stats::ExperimentConfig config = cli.parse(argc, argv);
-  const stats::ExperimentResults results = stats::runExperiment(config);
 
-  std::cout << "Saturation throughput by tree policy (flits/clock/node):\n";
-  stats::printPaperTable(
-      std::cout, "", results,
-      [](const stats::Cell& cell) { return cell.maxAccepted.mean(); },
-      /*precision=*/5);
-  std::cout << "\nDegree of hot spots by tree policy (%):\n";
-  stats::printPaperTable(
-      std::cout, "", results,
-      [](const stats::Cell& cell) { return cell.hotspotPercent.mean(); },
-      /*precision=*/2, " %");
-
-  // Root-choice sensitivity: average legal path length of DOWN/UP when the
-  // tree is rooted at every possible switch, on one sample.
+  // Average legal path length of DOWN/UP with the tree rooted at 16 evenly
+  // spaced switches of one sample topology.
   const unsigned ports = config.portConfigs.front();
   util::Rng rng(config.baseSeed + 99);
   const topo::Topology topo = topo::randomIrregular(
@@ -50,10 +38,9 @@ int main(int argc, char** argv) {
     }
     worst = std::max(worst, length);
   }
-  std::cout << "\nRoot-choice sensitivity (DOWN/UP avg path length over "
+  std::cout << "Root-choice sensitivity (DOWN/UP avg path length over "
             << "sampled roots, " << ports << "-port sample): best "
             << std::fixed << std::setprecision(4) << best << " (root "
             << bestRoot << "), worst " << worst << "\n";
-  cli.maybeWriteCsv(results);
   return 0;
 }

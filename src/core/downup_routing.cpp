@@ -4,9 +4,9 @@
 
 namespace downup::core {
 
-routing::Routing buildDownUp(const routing::Topology& topo,
-                             const tree::CoordinatedTree& ct,
-                             const DownUpOptions& options) {
+routing::TurnPermissions buildDownUpRule(const routing::Topology& topo,
+                                         const tree::CoordinatedTree& ct,
+                                         const DownUpOptions& options) {
   util::ScopedSpan classifySpan(options.spans, "classify");
   routing::TurnPermissions perms(topo, routing::classifyDownUp(topo, ct),
                                  downUpTurnSet());
@@ -21,8 +21,15 @@ routing::Routing buildDownUp(const routing::Topology& topo,
     util::ScopedSpan releaseSpan(options.spans, "release");
     releaseRedundantProhibitions(perms);
   }
-  return routing::Routing(options.releaseRedundant ? "downup" : "downup-norelease",
-                          std::move(perms), options.pool, options.spans);
+  return perms;
+}
+
+routing::Routing buildDownUp(const routing::Topology& topo,
+                             const tree::CoordinatedTree& ct,
+                             const DownUpOptions& options) {
+  return routing::Routing(
+      options.releaseRedundant ? "downup" : "downup-norelease",
+      buildDownUpRule(topo, ct, options), options.pool, options.spans);
 }
 
 std::string_view toString(Algorithm algorithm) noexcept {

@@ -30,9 +30,14 @@ struct DownUpOptions {
   util::SpanRecorder* spans = nullptr;
 };
 
-/// Builds DOWN/UP routing over a coordinated tree: Definition-5 channel
-/// directions, the 18-turn prohibited set, optionally the per-node release
-/// pass, and the turn-restricted shortest-path table.
+/// Builds the DOWN/UP turn rule over a coordinated tree: Definition-5
+/// channel directions, the 18-turn prohibited set, and optionally the
+/// repair and per-node release passes.  `options.pool` is unused here.
+routing::TurnPermissions buildDownUpRule(const routing::Topology& topo,
+                                         const tree::CoordinatedTree& ct,
+                                         const DownUpOptions& options = {});
+
+/// buildDownUpRule plus the turn-restricted shortest-path table.
 routing::Routing buildDownUp(const routing::Topology& topo,
                              const tree::CoordinatedTree& ct,
                              const DownUpOptions& options = {});

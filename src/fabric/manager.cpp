@@ -252,9 +252,8 @@ void FabricManager::serviceLoop() {
                                                   std::memory_order_relaxed)) {
       }
       if (changed) {
-        PublishResult result = rebuildAndPublish(
-            desiredLink_, desiredNode_, options_.incremental, drained);
-        result.transitionsAbsorbed = drained;
+        rebuildAndPublish(desiredLink_, desiredNode_, /*incremental=*/true,
+                          drained);
       } else {
         // The burst cancelled out (flap): desired == applied, nothing to do.
         rebuildsSkipped_.fetch_add(1, std::memory_order_relaxed);

@@ -21,8 +21,10 @@
 //    everything that accumulated, and folds the batch into desired alive
 //    masks.  A DOWN and UP of the same link inside the window leave desired
 //    == applied and the rebuild is skipped entirely (flap cancelled); N
-//    failures fold into ONE rebuild over the union dirty set.  Publishes go
-//    through the same epoch swap the readers pin against.
+//    failures fold into ONE rebuild over the union dirty set: service
+//    rebuilds always try the incremental path, which falls back to a full
+//    rebuild when it cannot apply.  Publishes go through the same epoch
+//    swap the readers pin against.
 //
 // Reader threads call makeReader() once and acquire()/release pins around
 // lookups; the read path is the lock-free protocol documented in
@@ -73,8 +75,6 @@ class FabricManager final : public fault::FaultEventSink {
     /// Service mode: how long the rebuild thread waits after a burst's
     /// first transition before draining and rebuilding.
     std::uint64_t coalesceWindowMicros = 200;
-    /// Service mode: prefer the incremental rebuild path.
-    bool incremental = true;
     /// Optional span recorder: every publish decision emits a `rebuild`
     /// root span with coalesce/dequeue/construction/publish children (see
     /// obs/span.hpp for the tree).  Must outlive the manager; nullptr (the
@@ -88,7 +88,7 @@ class FabricManager final : public fault::FaultEventSink {
     /// two).  The recorder itself is always on — see flightRecorder().
     std::size_t flightCapacity = 1024;
     /// Optional independent deadlock oracle (verify/gate.hpp).  When set,
-    /// the Reconfigurator audits every merged outcome and the manager
+    /// the Reconfigurator audits every outcome and the manager
     /// audits every epoch at "epoch_publish" just before it goes live —
     /// from BOTH writer modes, since driven and service publishes share
     /// rebuildAndPublish().  A violation records a kOracleViolation

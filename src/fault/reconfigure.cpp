@@ -26,14 +26,14 @@ namespace {
 
 constexpr std::uint32_t kNoComp = static_cast<std::uint32_t>(-1);
 
-/// One alive component routed on its compacted sub-topology.  The sub
-/// topology and routing sit behind unique_ptrs because the routing table and
-/// turn permissions hold raw pointers into them.
+/// One alive component: its compacted sub-topology and the DOWN/UP turn
+/// rule built on it.  The sub topology sits behind a unique_ptr because the
+/// rule holds a raw pointer into it.
 struct Component {
-  std::vector<NodeId> nodeToHost;       // ascending (remap contract)
+  std::vector<NodeId> nodeToHost;  // ascending: fixes the tree's sub ids
   std::vector<ChannelId> channelToHost;
   std::unique_ptr<Topology> sub;
-  std::unique_ptr<routing::Routing> routing;
+  std::unique_ptr<TurnPermissions> rule;
 };
 
 /// A dead endpoint kills the link regardless of its own state.
@@ -67,7 +67,6 @@ ComponentLabels labelComponents(const Topology& topo,
   ComponentLabels labels;
   labels.comp.assign(n, kNoComp);
   std::vector<NodeId> stack;
-  std::vector<std::uint64_t> sizes;
   for (NodeId v = 0; v < n; ++v) {
     if (!nodeAlive[v] || labels.comp[v] != kNoComp) continue;
     std::uint64_t size = 0;
@@ -95,20 +94,19 @@ ComponentLabels labelComponents(const Topology& topo,
   return labels;
 }
 
-/// What an outcome reports about a routed table: acyclicity of its rule's
-/// channel-dependency graph, and the legal-distance totals of one
-/// destination-major scan over pairs of alive nodes.
-struct EpochCheck {
-  bool acyclic = false;
-  RoutingTable::PairTotals pairs;
-};
-
-EpochCheck checkEpoch(const RoutingTable& table,
-                      std::span<const std::uint8_t> nodeAlive,
-                      util::SpanRecorder* spans) {
-  util::ScopedSpan verifySpan(spans, "verify");
-  return {routing::checkChannelDependencies(table.permissions()).acyclic,
-          table.pairTotals(nodeAlive)};
+/// Fills the outcome's reachability fields from one destination-major pass
+/// over its host table.  Ordered alive pairs in different components are
+/// unreachable by design; any other unreachable pair means some component
+/// is not connected under its turn rule.
+void countPairs(ReconfigOutcome& out, const ComponentLabels& labels,
+                std::span<const std::uint8_t> nodeAlive) {
+  const RoutingTable::PairTotals pairs = out.table->pairTotals(nodeAlive);
+  const std::uint64_t crossComponentPairs =
+      static_cast<std::uint64_t>(out.aliveNodes) * (out.aliveNodes - 1) -
+      labels.sameComponentPairs;
+  out.unreachablePairs = pairs.unreachablePairs;
+  out.componentsConnected = pairs.unreachablePairs == crossComponentPairs;
+  out.averagePathLength = pairs.meanHops();
 }
 
 }  // namespace
@@ -122,7 +120,6 @@ ReconfigOutcome Reconfigurator::rebuild(
 
   ReconfigOutcome out;
   out.deadlockFree = true;
-  out.componentsConnected = true;
 
   util::ScopedSpan partitionSpan(spans_, "partition");
   const std::vector<std::uint8_t> effLink =
@@ -132,23 +129,26 @@ ReconfigOutcome Reconfigurator::rebuild(
   out.aliveNodes = labels.aliveNodes;
   out.rebuiltDestinations = labels.aliveNodes;
 
-  // Collect members per component in ascending host order (the remap
-  // contract: sub node ids must ascend with host ids so that adjacency —
-  // and therefore candidate-row — order survives the mapping).
+  // Collect members per component in ascending host order, so sub node ids
+  // ascend with host ids: the M1 tree is built on the sub ids, and this
+  // fixes which tree (and so which turn rule) a component gets.
   std::vector<std::vector<NodeId>> members(out.components);
   for (NodeId v = 0; v < n; ++v) {
     if (labels.comp[v] != kNoComp) members[labels.comp[v]].push_back(v);
   }
+  const std::vector<std::uint64_t> alive =
+      channelAliveWords(linkAlive, nodeAlive);
   partitionSpan.arg("components", labels.count);
   partitionSpan.arg("aliveNodes", labels.aliveNodes);
   partitionSpan.close();
 
-  // Route every component with at least two switches independently: its own
-  // compacted topology, coordinated tree (M1 is deterministic; the RNG is
-  // never consulted) and DOWN/UP rule with the repair and release passes.
+  // Give every component with at least two switches its own compacted
+  // topology, coordinated tree (M1 is deterministic; the RNG is never
+  // consulted) and DOWN/UP rule with the repair and release passes.  Each
+  // rule is checked on its own sub-topology: the merged host rule gives
+  // dead channels an arbitrary direction, which could show a false cycle.
   std::vector<Component> parts;
   std::vector<NodeId> hostToSub(n, topo::kInvalidNode);
-  RoutingTable::PairTotals pairs;
   for (const auto& m : members) {
     if (m.size() < 2) continue;
     Component part;
@@ -173,42 +173,29 @@ ReconfigOutcome Reconfigurator::rebuild(
     const auto ct = tree::CoordinatedTree::build(
         *part.sub, tree::TreePolicy::kM1SmallestFirst, rng);
     treeSpan.close();
-    part.routing = std::make_unique<routing::Routing>(
-        core::buildDownUp(*part.sub, ct, {.pool = pool_, .spans = spans_}));
-
-    const EpochCheck check = checkEpoch(part.routing->table(), {}, spans_);
-    out.deadlockFree = out.deadlockFree && check.acyclic;
-    out.componentsConnected =
-        out.componentsConnected && check.pairs.unreachablePairs == 0;
-    pairs.reachablePairs += check.pairs.reachablePairs;
-    pairs.unreachablePairs += check.pairs.unreachablePairs;
-    pairs.hopSum += check.pairs.hopSum;
+    part.rule = std::make_unique<TurnPermissions>(
+        core::buildDownUpRule(*part.sub, ct, {.spans = spans_}));
+    util::ScopedSpan verifySpan(spans_, "verify");
+    out.deadlockFree = out.deadlockFree &&
+                       routing::checkChannelDependencies(*part.rule).acyclic;
+    verifySpan.close();
     parts.push_back(std::move(part));
   }
-  out.averagePathLength = pairs.meanHops();
-  out.unreachablePairs = pairs.unreachablePairs;
-  // Ordered alive pairs in different components are unreachable by design.
-  out.unreachablePairs += static_cast<std::uint64_t>(out.aliveNodes) *
-                              (out.aliveNodes - 1) -
-                          labels.sameComponentPairs;
 
   // Merge the per-component rules into host numbering.  Dead channels keep
-  // an arbitrary direction: their steps stay kNoPath and their candidate
-  // rows stay empty, so the table never offers them.
+  // an arbitrary direction; the alive mask keeps them out of the table.
   util::ScopedSpan mergeSpan(spans_, "merge");
   mergeSpan.arg("parts", parts.size());
   DirectionMap hostDirs(topo.channelCount(), Dir::kRdTree);
   for (const Component& part : parts) {
     for (ChannelId c = 0; c < part.channelToHost.size(); ++c) {
-      hostDirs[part.channelToHost[c]] = part.routing->permissions().dir(c);
+      hostDirs[part.channelToHost[c]] = part.rule->dir(c);
     }
   }
   out.perms = std::make_unique<TurnPermissions>(topo, std::move(hostDirs),
                                                 core::downUpTurnSet());
-  std::vector<RoutingTable::ComponentMapping> mappings;
-  mappings.reserve(parts.size());
   for (const Component& part : parts) {
-    const TurnPermissions& sub = part.routing->permissions();
+    const TurnPermissions& sub = *part.rule;
     for (NodeId v = 0; v < part.nodeToHost.size(); ++v) {
       for (std::size_t i = 0; i < kDirCount; ++i) {
         for (std::size_t j = 0; j < kDirCount; ++j) {
@@ -223,11 +210,17 @@ ReconfigOutcome Reconfigurator::rebuild(
         }
       }
     }
-    mappings.push_back({&part.routing->table(), part.nodeToHost,
-                        part.channelToHost});
   }
+  mergeSpan.close();
+
+  // The epoch's only table.  Components share no alive channel, so a pair
+  // in different components comes out unreachable.
   out.table = std::make_unique<RoutingTable>(
-      RoutingTable::remapComponents(*out.perms, mappings));
+      RoutingTable::build(*out.perms, pool_, alive, spans_));
+  {
+    util::ScopedSpan verifySpan(spans_, "verify");
+    countPairs(out, labels, nodeAlive);
+  }
   auditOutcome(out, linkAlive, nodeAlive, "reconfig_full");
   return out;
 }
@@ -353,17 +346,14 @@ ReconfigOutcome Reconfigurator::rebuildIncremental(
   // check re-verifies the (superset) inherited graph.  The pair scan
   // re-checks every alive pair (clean destinations included) against the
   // component labels and yields the path-length mean.
-  const EpochCheck check = checkEpoch(*out.table, nodeAlive, spans_);
-  out.deadlockFree = check.acyclic;
-  out.unreachablePairs = check.pairs.unreachablePairs;
-  const std::uint64_t crossComponentPairs =
-      static_cast<std::uint64_t>(out.aliveNodes) * (out.aliveNodes - 1) -
-      labels.sameComponentPairs;
-  out.componentsConnected = out.unreachablePairs == crossComponentPairs;
+  {
+    util::ScopedSpan verifySpan(spans_, "verify");
+    out.deadlockFree = routing::checkChannelDependencies(*out.perms).acyclic;
+    countPairs(out, labels, nodeAlive);
+  }
   if (!out.componentsConnected || !out.deadlockFree) {
     return rebuild(linkAlive, nodeAlive);
   }
-  out.averagePathLength = check.pairs.meanHops();
   auditOutcome(out, linkAlive, nodeAlive, "reconfig_incremental");
   return out;
 }

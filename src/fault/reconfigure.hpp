@@ -6,12 +6,14 @@
 //
 // The degraded graph may be disconnected (node failures isolate switches,
 // link failures can split the network).  Every alive connected component
-// with at least two switches is routed independently — its own compacted
-// sub-topology, coordinated tree and DOWN/UP rule — and the per-component
-// tables are merged with RoutingTable::remapComponents.  Channel-dependency
-// graphs of distinct components are disjoint, so the merged rule is
-// deadlock-free iff each component's rule is; pairs in different components
-// stay unreachable and are reported for the engine to drop with attribution.
+// with at least two switches gets its own turn rule — compacted
+// sub-topology, coordinated tree and DOWN/UP rule, checked acyclic there —
+// and the rules are merged into host numbering.  Channel-dependency graphs
+// of distinct components are disjoint, so the merged rule is deadlock-free
+// iff each component's rule is.  One RoutingTable::build over the merged
+// rule, with dead channels masked out, is the epoch's only table; pairs in
+// different components come out unreachable and are reported for the
+// engine to drop with attribution.
 #pragma once
 
 #include <cstdint>
@@ -67,15 +69,15 @@ class Reconfigurator {
 
   const topo::Topology& topology() const noexcept { return *topo_; }
 
-  /// Attaches a span recorder: every rebuild emits partition / subtopo /
-  /// tree / classify / repair / release / table_build / verify / merge
-  /// stage spans.  nullptr (the default) detaches; the pointer must stay
-  /// valid across rebuild calls and is shared with them unsynchronised, so
-  /// set it before rebuilds start.
+  /// Attaches a span recorder: every full rebuild emits partition, then
+  /// subtopo / tree / classify / repair / release / verify per component,
+  /// then merge / table_build / verify stage spans.  nullptr (the default)
+  /// detaches; the pointer must stay valid across rebuild calls and is
+  /// shared with them unsynchronised, so set it before rebuilds start.
   void setSpans(util::SpanRecorder* spans) noexcept { spans_ = spans; }
 
   /// Attaches the independent deadlock oracle (verify/gate.hpp): every
-  /// merged outcome — full rebuilds at "reconfig_full", incremental epochs
+  /// outcome — full rebuilds at "reconfig_full", incremental epochs
   /// at "reconfig_incremental" — is audited against its alive-channel mask
   /// before it is returned.  Same lifetime/synchronisation contract as
   /// setSpans; nullptr (the default) is a never-taken branch per rebuild.

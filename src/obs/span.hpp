@@ -13,11 +13,12 @@
 //   ├─ partition / subtopo      alive-component labelling + compaction
 //   ├─ tree                     coordinated-tree construction per component
 //   ├─ classify / repair / release   turn-rule stages per component
+//   ├─ verify                   per-component rule: dependency-graph check
+//   ├─ merge                    component rules into host numbering
 //   ├─ table_build              RoutingTable::build or rebuildDead
 //   │  ├─ dirty_delta           rebuildDead: dead channels + dirty set
 //   │  └─ bfs                   per-destination reverse BFS fan-out
-//   ├─ verify                   deadlock-freedom + connectivity check
-//   ├─ merge                    per-component remap into host numbering
+//   ├─ verify                   alive-pair pass; incremental: + rule check
 //   └─ publish                  epoch swap + reclaim sweep
 //
 // Parallel stages carry `threads` / `parallel` args so a trace shows which

@@ -26,13 +26,7 @@ class Routing {
 
   const std::string& name() const noexcept { return name_; }
   const TurnPermissions& permissions() const noexcept { return *perms_; }
-  TurnPermissions& permissionsMutable() noexcept { return *perms_; }
   const RoutingTable& table() const noexcept { return table_; }
-
-  /// Recomputes the table after permissions changed (e.g. a release pass).
-  void rebuildTable(util::ThreadPool* pool = nullptr) {
-    table_ = RoutingTable::build(*perms_, pool);
-  }
 
  private:
   std::string name_;

@@ -347,46 +347,6 @@ std::uint64_t RoutingTable::fingerprint() const noexcept {
   return hash;
 }
 
-RoutingTable RoutingTable::remapComponents(
-    const TurnPermissions& hostPerms, std::span<const ComponentMapping> parts) {
-  RoutingTable host(hostPerms);
-  const std::size_t channels = host.channelCount_;
-  host.steps_.assign(static_cast<std::size_t>(host.nodeCount_) * channels,
-                     kNoPath);
-
-  // Scatter the per-destination step fields.  Components are node- and
-  // channel-disjoint, so writes never collide.  Candidate order survives
-  // the mapping because sub node ids ascend with host ids
-  // (ComponentMapping contract), so a host adjacency scan meets a
-  // component's channels in the order a sub scan would.  A part whose maps
-  // are the identity (every all-alive rebuild) copies whole rows instead.
-  const auto isIdentity = [](auto map) {
-    for (std::size_t i = 0; i < map.size(); ++i) {
-      if (map[i] != i) return false;
-    }
-    return true;
-  };
-  for (const ComponentMapping& part : parts) {
-    const RoutingTable& sub = *part.table;
-    const bool identity =
-        isIdentity(part.nodeToHost) && isIdentity(part.channelToHost);
-    for (NodeId subDst = 0; subDst < sub.nodeCount_; ++subDst) {
-      std::uint16_t* hostRow =
-          &host.steps_[static_cast<std::size_t>(part.nodeToHost[subDst]) *
-                       channels];
-      const std::uint16_t* subRow = sub.row(subDst);
-      if (identity) {
-        std::copy_n(subRow, sub.channelCount_, hostRow);
-        continue;
-      }
-      for (ChannelId c = 0; c < sub.channelCount_; ++c) {
-        hostRow[part.channelToHost[c]] = subRow[c];
-      }
-    }
-  }
-  return host;
-}
-
 std::uint16_t RoutingTable::distance(NodeId src, NodeId dst) const noexcept {
   if (src == dst) return 0;
   std::uint16_t best = kNoPath;

@@ -25,8 +25,8 @@
 // The steps table is the only thing stored.  Candidate queries scan one
 // node's output channels against it (and, for the turn-legal variant, the
 // turn rule) and return the result inline in a fixed-capacity Candidates
-// value: no per-query allocation, and nothing derived to rebuild, copy or
-// remap when the table changes.
+// value: no per-query allocation, and nothing derived to rebuild or copy
+// when the table changes.
 #pragma once
 
 #include <algorithm>
@@ -51,8 +51,8 @@ namespace downup::routing {
 inline constexpr std::uint16_t kNoPath = 0xffff;
 
 /// Largest node degree a RoutingTable accepts.  Every candidate query
-/// returns at most one node's output channels, held inline; build() and
-/// remapComponents() refuse a topology with a larger degree.
+/// returns at most one node's output channels, held inline; build()
+/// refuses a topology with a larger degree.
 inline constexpr std::size_t kMaxCandidates = 32;
 
 /// Fixed-capacity list of candidate output channels, in outputChannels()
@@ -92,8 +92,9 @@ class RoutingTable {
   /// `channelAlive` (optional, one bit per channel, empty = all alive)
   /// masks dead channels out of the table: they seed no BFS, relax no
   /// predecessor and keep kNoPath steps everywhere, so no candidate query
-  /// ever offers them — the contract remapComponents() establishes for dead
-  /// links, so a running simulator can consume a masked table directly.
+  /// ever offers them and a running simulator can consume a masked table
+  /// directly.  An online reconfiguration epoch (fault/reconfigure.hpp) is
+  /// one such build over every surviving component at once.
   ///
   /// Throws std::invalid_argument when a node's degree exceeds
   /// kMaxCandidates.  `spans` (optional) records a `table_build` span with
@@ -218,30 +219,6 @@ class RoutingTable {
     }
     return out;
   }
-
-  // --- online reconfiguration (fault/reconfigure.cpp) ---
-
-  /// One connected component of a degraded topology, routed independently.
-  /// `table` was built on a compacted sub-topology; the maps take its node
-  /// and channel ids back into the host numbering.  Sub node ids must have
-  /// been assigned in ascending host-id order so that adjacency — and
-  /// therefore candidate — order is preserved under the mapping.
-  struct ComponentMapping {
-    const RoutingTable* table = nullptr;
-    std::span<const NodeId> nodeToHost;
-    std::span<const ChannelId> channelToHost;
-  };
-
-  /// Merges independently-routed components into one table expressed in the
-  /// host topology's numbering, so a running simulator can hot-swap routing
-  /// without renumbering its channel state.  Host channels outside every
-  /// mapping (dead links) keep kNoPath steps and are therefore never
-  /// offered as outputs; node pairs in different components are
-  /// unreachable.  `hostPerms` must express the merged turn rule in host
-  /// numbering and must outlive the returned table.  Throws like build()
-  /// on a host degree above kMaxCandidates.
-  static RoutingTable remapComponents(const TurnPermissions& hostPerms,
-                                      std::span<const ComponentMapping> parts);
 
   /// True when the two tables hold identical steps (the permissions
   /// pointer is not compared).  Used by the determinism and

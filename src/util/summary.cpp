@@ -1,7 +1,5 @@
 #include "util/summary.hpp"
 
-#include <cassert>
-
 namespace downup::util {
 
 void RunningStat::merge(const RunningStat& other) noexcept {
@@ -191,19 +189,6 @@ void QuantileSketch::mergeFrom(const QuantileSketch& other) {
                   other.collapsed_[b]);
     }
   }
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-  assert(bins > 0 && hi > lo);
-}
-
-void Histogram::add(double x) noexcept {
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / width_);
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
 }
 
 }  // namespace downup::util

@@ -135,24 +135,4 @@ class QuantileSketch {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Fixed-width histogram over [lo, hi); values outside clamp to end bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  std::size_t binCount() const noexcept { return counts_.size(); }
-  std::uint64_t binValue(std::size_t i) const noexcept { return counts_[i]; }
-  double binLow(std::size_t i) const noexcept {
-    return lo_ + width_ * static_cast<double>(i);
-  }
-  std::uint64_t total() const noexcept { return total_; }
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
 }  // namespace downup::util

@@ -4,6 +4,7 @@
 // built directly on the degraded graph.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "core/downup_routing.hpp"
@@ -12,6 +13,7 @@
 #include "topology/generate.hpp"
 #include "tree/coordinated_tree.hpp"
 #include "util/rng.hpp"
+#include "util/span_recorder.hpp"
 
 namespace downup::fault {
 namespace {
@@ -56,7 +58,7 @@ TEST(ReconfiguratorTest, HealthyRebuildMatchesDirectBuild) {
   EXPECT_GT(out.averagePathLength, 0.0);
 
   // With everything alive the compacted sub-topology is the host topology,
-  // so the merged table must match a direct M1 build channel for channel.
+  // so the rebuilt table must match a direct M1 build channel for channel.
   util::Rng treeRng(0);
   const auto ct = tree::CoordinatedTree::build(
       topo, tree::TreePolicy::kM1SmallestFirst, treeRng);
@@ -213,6 +215,50 @@ TEST(ReconfiguratorTest, IsolatedSurvivorCountsAsComponent) {
     EXPECT_EQ(out.table->distance(v, 3), kNoPath);
     EXPECT_EQ(out.table->distance(3, v), kNoPath);
   }
+}
+
+TEST(ReconfiguratorTest, SplitFabricBuildsOneHostTable) {
+  // CandidateGolden.MultiComponentRebuild's split: every link leaving the
+  // radius-1 ball around switch 0 of a 48-switch SAN dies.  Each component
+  // gets its own tree and turn rule, but the epoch has exactly one table:
+  // the masked build of the merged host rule.
+  util::Rng rng(2026);
+  const topo::Topology topo = topo::randomIrregular(48, {.maxPorts = 4}, rng);
+  std::vector<std::uint8_t> inBall(topo.nodeCount(), 0);
+  inBall[0] = 1;
+  for (const topo::NodeId v : topo.neighbors(0)) inBall[v] = 1;
+  auto linksUp = allAlive(topo.linkCount());
+  std::vector<std::uint64_t> aliveMask((topo.channelCount() + 63) / 64, 0);
+  for (topo::LinkId l = 0; l < topo.linkCount(); ++l) {
+    const auto [a, b] = topo.linkEnds(l);
+    if (inBall[a] != inBall[b]) linksUp[l] = 0;
+    if (linksUp[l] == 0) continue;
+    for (const topo::ChannelId c : {2 * l, 2 * l + 1}) {
+      aliveMask[c >> 6] |= std::uint64_t{1} << (c & 63);
+    }
+  }
+
+  util::SpanRecorder spans;
+  Reconfigurator reconf(topo);
+  reconf.setSpans(&spans);
+  const ReconfigOutcome out =
+      reconf.rebuild(linksUp, allAlive(topo.nodeCount()));
+  ASSERT_TRUE(out.ok());
+  ASSERT_GE(out.components, 2u);
+
+  std::size_t tableBuilds = 0;
+  for (const auto& s : spans.snapshot()) {
+    tableBuilds += std::strcmp(s.name, "table_build") == 0 ? 1 : 0;
+  }
+  EXPECT_EQ(tableBuilds, 1u);
+  EXPECT_TRUE(out.table->identicalTo(
+      routing::RoutingTable::build(*out.perms, nullptr, aliveMask)));
+  // Pinned from per-component tables summed, so the one host pass must
+  // agree with them: a 5-switch ball and a 43-switch rest, 2 x 5 x 43
+  // ordered pairs across the cut, and the mean is the integer hop sum over
+  // the 5 x 4 + 43 x 42 pairs within a side.
+  EXPECT_EQ(out.unreachablePairs, 430u);
+  EXPECT_EQ(out.averagePathLength, 6593.0 / 1826.0);
 }
 
 }  // namespace

@@ -110,9 +110,10 @@ TEST(CandidateGolden, MaskedBuildAndRebuildDead) {
 }
 
 // A full reconfiguration that splits the fabric: every link leaving the
-// radius-1 ball around switch 0 dies, so remapComponents merges several
-// independently routed components into host numbering.
-TEST(CandidateGolden, MultiComponentRemap) {
+// radius-1 ball around switch 0 dies, so each component gets its own tree
+// and turn rule, and one masked build over the merged host rule serves
+// them all.
+TEST(CandidateGolden, MultiComponentRebuild) {
   const Topology topo = seededSan(48, 4, 2026);
   std::vector<std::uint8_t> inBall(topo.nodeCount(), 0);
   inBall[0] = 1;

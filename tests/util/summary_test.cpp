@@ -274,20 +274,5 @@ TEST(QuantileSketch, MergeExactIntoCollapsedKeepsMomentsExact) {
   EXPECT_DOUBLE_EQ(collapsed.mean(), expectedMean);
 }
 
-TEST(Histogram, BinsAndClamps) {
-  Histogram histogram(0.0, 10.0, 5);
-  histogram.add(0.5);    // bin 0
-  histogram.add(3.0);    // bin 1
-  histogram.add(9.99);   // bin 4
-  histogram.add(-5.0);   // clamps to bin 0
-  histogram.add(100.0);  // clamps to bin 4
-  EXPECT_EQ(histogram.total(), 5u);
-  EXPECT_EQ(histogram.binValue(0), 2u);
-  EXPECT_EQ(histogram.binValue(1), 1u);
-  EXPECT_EQ(histogram.binValue(2), 0u);
-  EXPECT_EQ(histogram.binValue(4), 2u);
-  EXPECT_DOUBLE_EQ(histogram.binLow(1), 2.0);
-}
-
 }  // namespace
 }  // namespace downup::util
