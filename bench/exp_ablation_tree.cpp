@@ -12,7 +12,8 @@
 int main(int argc, char** argv) {
   using namespace downup;
   bench::ExperimentCli cli("exp_ablation_tree",
-                           "Ablation: coordinated-tree root choice");
+                           "Ablation: coordinated-tree root choice",
+                           /*writesCsv=*/false);
   const stats::ExperimentConfig config = cli.parse(argc, argv);
 
   // Average legal path length of DOWN/UP with the tree rooted at 16 evenly

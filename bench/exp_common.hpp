@@ -24,7 +24,10 @@ namespace downup::bench {
 
 class ExperimentCli {
  public:
-  ExperimentCli(std::string program, std::string description)
+  /// `writesCsv` registers --csv; a driver that writes no CSV leaves it
+  /// false, so the flag is rejected as unknown rather than ignored.
+  ExperimentCli(std::string program, std::string description,
+                bool writesCsv = true)
       : cli_(std::move(program), std::move(description)) {
     switches_ = cli_.positiveOption<int>("switches", 32, "number of switches (paper: 128)");
     samples_ = cli_.positiveOption<int>("samples", 3,
@@ -39,8 +42,10 @@ class ExperimentCli {
     warmup_ = cli_.option<int>("warmup", 3000, "warm-up cycles");
     measure_ = cli_.positiveOption<int>("measure", 12000, "measured cycles");
     seed_ = cli_.option<std::uint64_t>("seed", 2004, "base RNG seed");
-    csv_ = cli_.option<std::string>(
-        "csv", "", "CSV output path prefix (empty = no CSV files)");
+    if (writesCsv) {
+      csv_ = cli_.option<std::string>(
+          "csv", "", "CSV output path prefix (empty = no CSV files)");
+    }
     threads_ = cli_.positiveOption<int>(
         "threads", defaultThreads(),
         "worker threads for parallel sweeps and table construction");
@@ -83,11 +88,14 @@ class ExperimentCli {
     return config;
   }
 
-  const std::string& csvPrefix() const { return *csv_; }
+  const std::string& csvPrefix() const {
+    static const std::string kEmpty;
+    return csv_ ? *csv_ : kEmpty;
+  }
 
   /// Emits the standard CSV pair when --csv was given.
   void maybeWriteCsv(const stats::ExperimentResults& results) const {
-    if (csv_->empty()) return;
+    if (csvPrefix().empty()) return;
     stats::writeMetricsCsv(results, *csv_ + "_metrics.csv");
     stats::writeCurvesCsv(results, *csv_ + "_curves.csv");
   }

@@ -59,7 +59,8 @@ int main(int argc, char** argv) {
     const routing::VerifyReport report = routing::verifyRouting(routing);
     std::cout << std::left << std::setw(20) << routing.name() << std::setw(12)
               << std::setprecision(3) << report.averagePathLength
-              << std::setw(12) << report.averageStretch << std::setw(12)
+              << std::setw(12)
+              << routing::pathStretch(routing.table()).average << std::setw(12)
               << routing::averageAdaptivity(routing.table()) << std::setw(12)
               << (report.ok() ? "OK" : "BROKEN");
     if (*probe) {

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "core/downup_routing.hpp"
-#include "routing/cdg.hpp"
+#include "routing/verify.hpp"
 #include "tree/coordinated_tree.hpp"
 #include "util/rng.hpp"
 #include "verify/gate.hpp"
@@ -94,19 +94,23 @@ ComponentLabels labelComponents(const Topology& topo,
   return labels;
 }
 
-/// Fills the outcome's reachability fields from one destination-major pass
-/// over its host table.  Ordered alive pairs in different components are
-/// unreachable by design; any other unreachable pair means some component
-/// is not connected under its turn rule.
-void countPairs(ReconfigOutcome& out, const ComponentLabels& labels,
-                std::span<const std::uint8_t> nodeAlive) {
-  const RoutingTable::PairTotals pairs = out.table->pairTotals(nodeAlive);
+/// The epoch check shared by both rebuild paths: the rule's dependency
+/// graph restricted to alive channels, and the table's stored pair totals.
+/// Ordered alive pairs in different components are unreachable by design;
+/// any other unreachable pair means some component is not connected under
+/// its turn rule.
+void verifyEpoch(ReconfigOutcome& out, const ComponentLabels& labels,
+                 std::span<const std::uint64_t> alive,
+                 std::span<const std::uint8_t> nodeAlive) {
+  const routing::VerifyReport report =
+      routing::verifyRouting(*out.perms, *out.table, alive, nodeAlive);
   const std::uint64_t crossComponentPairs =
       static_cast<std::uint64_t>(out.aliveNodes) * (out.aliveNodes - 1) -
       labels.sameComponentPairs;
-  out.unreachablePairs = pairs.unreachablePairs;
-  out.componentsConnected = pairs.unreachablePairs == crossComponentPairs;
-  out.averagePathLength = pairs.meanHops();
+  out.deadlockFree = report.deadlockFree;
+  out.unreachablePairs = report.unreachablePairs;
+  out.componentsConnected = report.unreachablePairs == crossComponentPairs;
+  out.averagePathLength = report.averagePathLength;
 }
 
 }  // namespace
@@ -119,8 +123,6 @@ ReconfigOutcome Reconfigurator::rebuild(
   const LinkId linkCount = topo.linkCount();
 
   ReconfigOutcome out;
-  out.deadlockFree = true;
-
   util::ScopedSpan partitionSpan(spans_, "partition");
   const std::vector<std::uint8_t> effLink =
       effectiveLinks(topo, linkAlive, nodeAlive, out.aliveLinks);
@@ -144,9 +146,7 @@ ReconfigOutcome Reconfigurator::rebuild(
 
   // Give every component with at least two switches its own compacted
   // topology, coordinated tree (M1 is deterministic; the RNG is never
-  // consulted) and DOWN/UP rule with the repair and release passes.  Each
-  // rule is checked on its own sub-topology: the merged host rule gives
-  // dead channels an arbitrary direction, which could show a false cycle.
+  // consulted) and DOWN/UP rule with the repair and release passes.
   std::vector<Component> parts;
   std::vector<NodeId> hostToSub(n, topo::kInvalidNode);
   for (const auto& m : members) {
@@ -175,10 +175,6 @@ ReconfigOutcome Reconfigurator::rebuild(
     treeSpan.close();
     part.rule = std::make_unique<TurnPermissions>(
         core::buildDownUpRule(*part.sub, ct, {.spans = spans_}));
-    util::ScopedSpan verifySpan(spans_, "verify");
-    out.deadlockFree = out.deadlockFree &&
-                       routing::checkChannelDependencies(*part.rule).acyclic;
-    verifySpan.close();
     parts.push_back(std::move(part));
   }
 
@@ -214,12 +210,16 @@ ReconfigOutcome Reconfigurator::rebuild(
   mergeSpan.close();
 
   // The epoch's only table.  Components share no alive channel, so a pair
-  // in different components comes out unreachable.
+  // in different components comes out unreachable, and one masked
+  // dependency check equals the union of per-component checks (the dead
+  // channels' arbitrary directions stay out of it).  An acyclic rule
+  // covers this alive set.
   out.table = std::make_unique<RoutingTable>(
       RoutingTable::build(*out.perms, pool_, alive, spans_));
   {
     util::ScopedSpan verifySpan(spans_, "verify");
-    countPairs(out, labels, nodeAlive);
+    verifyEpoch(out, labels, alive, nodeAlive);
+    if (out.deadlockFree) out.perms->setCover(alive);
   }
   auditOutcome(out, linkAlive, nodeAlive, "reconfig_full");
   return out;
@@ -260,6 +260,30 @@ std::vector<std::uint64_t> Reconfigurator::channelAliveWords(
   return words;
 }
 
+bool Reconfigurator::incrementalApplies(
+    const RoutingTable& prevTable,
+    std::span<const std::uint64_t> alive) const {
+  const TurnPermissions& rule = prevTable.permissions();
+  const RoutingTable::ChannelChanges changes =
+      prevTable.changedChannels(alive);
+  if (!changes.dead.empty() && !changes.revived.empty()) return false;
+  // A revival outside the rule's cover needs a rule checked with it.
+  for (const ChannelId c : changes.revived) {
+    if (!rule.covers(c)) return false;
+  }
+  // Losing a DOWN/UP tree channel has never left every pair routable under
+  // the old tree (tests/fault/incremental_test.cpp pins it), so the
+  // attempt would only delay the full rebuild.
+  if (rule.global() == core::downUpTurnSet()) {
+    for (const ChannelId c : changes.dead) {
+      if (rule.dir(c) == Dir::kLuTree || rule.dir(c) == Dir::kRdTree) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 double Reconfigurator::incrementalDirtyFraction(
     const routing::RoutingTable& prevTable,
     std::span<const std::uint8_t> linkAlive,
@@ -268,6 +292,7 @@ double Reconfigurator::incrementalDirtyFraction(
   if (n == 0) return 1.0;
   const std::vector<std::uint64_t> alive =
       channelAliveWords(linkAlive, nodeAlive);
+  if (!incrementalApplies(prevTable, alive)) return 1.0;
   const std::uint32_t dirty = prevTable.dirtyDestinationCount(alive);
   // Never report zero work: even an empty dirty set pays the delta scan.
   return std::max(1.0 / static_cast<double>(n),
@@ -281,21 +306,12 @@ ReconfigOutcome Reconfigurator::rebuildIncremental(
   const Topology& topo = *topo_;
   const std::vector<std::uint64_t> alive =
       channelAliveWords(linkAlive, nodeAlive);
-
-  // A channel that is alive now but was dead in the previous epoch revived;
-  // its epoch's turn rule never classified it, so only a full rebuild can
-  // route through it.
   {
     util::ScopedSpan applicabilitySpan(spans_, "dirty_set");
-    for (ChannelId c = 0; c < topo.channelCount(); ++c) {
-      const bool aliveNow = (alive[c >> 6] >> (c & 63)) & 1u;
-      const bool alivePrev =
-          prevTable.channelSteps(topo.channelDst(c), c) == 1;
-      if (aliveNow && !alivePrev) {
-        applicabilitySpan.arg("revived", 1);
-        applicabilitySpan.close();
-        return rebuild(linkAlive, nodeAlive);
-      }
+    if (!incrementalApplies(prevTable, alive)) {
+      applicabilitySpan.arg("fallback", 1);
+      applicabilitySpan.close();
+      return rebuild(linkAlive, nodeAlive);
     }
   }
 
@@ -316,9 +332,9 @@ ReconfigOutcome Reconfigurator::rebuildIncremental(
   // old tree cannot serve the degraded graph (e.g. the failure cut the
   // region the turn rule funnels traffic through) — re-rooting may fix
   // that, so fall back to the full rebuild.  Only a dirty destination can
-  // lose a source (clean rows keep every distance), so each is checked as
-  // soon as its BFS batch ends and the first miss abandons the incremental
-  // attempt before the remaining batches and the verify step.
+  // lose a source (clean rows keep or shorten every distance), so each is
+  // checked as soon as its BFS batch ends and the first miss abandons the
+  // incremental attempt before the remaining batches and the verify step.
   const NodeId n = topo.nodeCount();
   const auto reachedByComponent = [&labels, n](const RoutingTable& table,
                                                NodeId dst) {
@@ -341,15 +357,17 @@ ReconfigOutcome Reconfigurator::rebuildIncremental(
   out.table->rebindPermissions(*out.perms);
   out.rebuiltDestinations = static_cast<std::uint32_t>(dirty.size());
 
-  // The inherited rule's channel-dependency graph was acyclic and lost only
-  // vertices/edges, so the epoch is deadlock-free by construction; the
-  // check re-verifies the (superset) inherited graph.  The pair scan
-  // re-checks every alive pair (clean destinations included) against the
-  // component labels and yields the path-length mean.
+  // The alive set lies inside the inherited rule's cover (or lost channels
+  // only), so the epoch is deadlock-free by construction; the masked check
+  // re-verifies it.  A rule with no recorded cover now covers the alive set
+  // it was just checked on.  The pair totals re-check every alive pair
+  // (clean destinations included) against the component labels.
   {
     util::ScopedSpan verifySpan(spans_, "verify");
-    out.deadlockFree = routing::checkChannelDependencies(*out.perms).acyclic;
-    countPairs(out, labels, nodeAlive);
+    verifyEpoch(out, labels, alive, nodeAlive);
+    if (out.deadlockFree && out.perms->cover().empty()) {
+      out.perms->setCover(alive);
+    }
   }
   if (!out.componentsConnected || !out.deadlockFree) {
     return rebuild(linkAlive, nodeAlive);

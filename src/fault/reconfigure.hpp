@@ -7,13 +7,15 @@
 // The degraded graph may be disconnected (node failures isolate switches,
 // link failures can split the network).  Every alive connected component
 // with at least two switches gets its own turn rule — compacted
-// sub-topology, coordinated tree and DOWN/UP rule, checked acyclic there —
-// and the rules are merged into host numbering.  Channel-dependency graphs
-// of distinct components are disjoint, so the merged rule is deadlock-free
-// iff each component's rule is.  One RoutingTable::build over the merged
+// sub-topology, coordinated tree and DOWN/UP rule — and the rules are
+// merged into host numbering.  One RoutingTable::build over the merged
 // rule, with dead channels masked out, is the epoch's only table; pairs in
 // different components come out unreachable and are reported for the
-// engine to drop with attribution.
+// engine to drop with attribution.  Channel-dependency graphs of distinct
+// components are disjoint, so one dependency check masked to the alive
+// channels (routing::verifyRouting) decides the merged rule, and its alive
+// mask becomes the rule's cover (TurnPermissions::cover): the incremental
+// path may serve any later alive set inside it with the same rule.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +43,8 @@ struct ReconfigOutcome {
   /// plus any within-component unreachability — the latter is a bug and
   /// implies !deadlockFree or a verify failure).
   std::uint64_t unreachablePairs = 0;
-  /// Every component's channel-dependency graph verified acyclic.
+  /// The rule's channel-dependency graph, restricted to the alive
+  /// channels, verified acyclic.
   bool deadlockFree = false;
   /// Every within-component ordered pair reachable on legal paths.
   bool componentsConnected = false;
@@ -70,8 +73,8 @@ class Reconfigurator {
   const topo::Topology& topology() const noexcept { return *topo_; }
 
   /// Attaches a span recorder: every full rebuild emits partition, then
-  /// subtopo / tree / classify / repair / release / verify per component,
-  /// then merge / table_build / verify stage spans.  nullptr (the default)
+  /// subtopo / tree / classify / repair / release per component, then
+  /// merge / table_build / verify stage spans.  nullptr (the default)
   /// detaches; the pointer must stay valid across rebuild calls and is
   /// shared with them unsynchronised, so set it before rebuilds start.
   void setSpans(util::SpanRecorder* spans) noexcept { spans_ = spans; }
@@ -90,34 +93,42 @@ class Reconfigurator {
   ReconfigOutcome rebuild(std::span<const std::uint8_t> linkAlive,
                           std::span<const std::uint8_t> nodeAlive) const;
 
-  /// Incremental epoch: keeps `prevTable`'s turn rule — restricting an
-  /// acyclic channel-dependency graph to surviving channels cannot create a
-  /// cycle, so deadlock freedom is inherited — and recomputes only the
-  /// destinations whose minimal-path structure a newly dead channel can
-  /// touch (RoutingTable::rebuildDead).  Falls back to a full rebuild()
-  /// when a channel revived relative to prevTable, or when the inherited
-  /// rule leaves a within-component pair unreachable that re-rooting could
-  /// serve (e.g. the failure cut off the old tree root's region); that is
-  /// checked per dirty destination as soon as its 64-destination BFS batch
-  /// ends, so a fallback skips the remaining batches and the verify step.
-  /// Verify is the same as rebuild()'s: the channel-dependency check plus
-  /// one destination-major scan of the table for the unreachable-pair
-  /// count and the path-length sum.  The outcome reports which path ran
-  /// via `incremental`.
+  /// Incremental epoch: keeps `prevTable`'s turn rule and recomputes only
+  /// the destinations the change can touch (RoutingTable::rebuildDead).
+  /// It serves masks that only kill channels or only revive channels
+  /// inside the rule's cover — both leave the alive set inside the cover,
+  /// where the rule's dependency graph is acyclic — so a recovery after an
+  /// incremental failure stays incremental.  The cover travels with the
+  /// rule, so any holder of `prevTable` gets the same decision.  Falls back
+  /// to a full rebuild() when a revival lies outside the cover, when the
+  /// mask kills and revives at once, when a newly dead channel is a
+  /// DOWN/UP tree channel (the old tree never serves that loss), or when
+  /// the inherited rule leaves a within-component pair unreachable that
+  /// re-rooting could serve; that is checked per dirty destination as soon
+  /// as its 64-destination BFS batch ends, so a fallback skips the
+  /// remaining batches and the verify step.  Verify is rebuild()'s:
+  /// routing::verifyRouting over the alive mask.  The outcome reports
+  /// which path ran via `incremental`.
   ReconfigOutcome rebuildIncremental(
       const routing::RoutingTable& prevTable,
       std::span<const std::uint8_t> linkAlive,
       std::span<const std::uint8_t> nodeAlive) const;
 
   /// Fraction (0, 1] of per-destination construction work an incremental
-  /// epoch would redo given the masks; 1.0 when the incremental path cannot
-  /// apply.  The engine uses this to size the reconfiguration window at
+  /// epoch would redo given the masks; 1.0 when the incremental path
+  /// declines the event up front (see rebuildIncremental).  The engine uses this to size the reconfiguration window at
   /// fault time, before the rebuild itself runs.
   double incrementalDirtyFraction(const routing::RoutingTable& prevTable,
                                   std::span<const std::uint8_t> linkAlive,
                                   std::span<const std::uint8_t> nodeAlive) const;
 
  private:
+  /// Whether the incremental path may serve `alive` from `prevTable`: the
+  /// mask only kills channels, none of them a DOWN/UP tree channel, or
+  /// only revives channels inside the inherited rule's cover.
+  bool incrementalApplies(const routing::RoutingTable& prevTable,
+                          std::span<const std::uint64_t> alive) const;
+
   std::vector<std::uint64_t> channelAliveWords(
       std::span<const std::uint8_t> linkAlive,
       std::span<const std::uint8_t> nodeAlive) const;

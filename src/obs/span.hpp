@@ -9,16 +9,15 @@
 //   rebuild                     one service-loop decision or driven publish
 //   ├─ coalesce_wait            the burst-coalescing sleep (service mode)
 //   ├─ event_dequeue            queue drain + fold into desired masks
-//   ├─ dirty_set                incremental applicability + dirty-set scan
+//   ├─ dirty_set                incremental applicability (cover, tree rule)
 //   ├─ partition / subtopo      alive-component labelling + compaction
 //   ├─ tree                     coordinated-tree construction per component
 //   ├─ classify / repair / release   turn-rule stages per component
-//   ├─ verify                   per-component rule: dependency-graph check
 //   ├─ merge                    component rules into host numbering
 //   ├─ table_build              RoutingTable::build or rebuildDead
-//   │  ├─ dirty_delta           rebuildDead: dead channels + dirty set
+//   │  ├─ dirty_delta           rebuildDead: dead/revived channels + dirty set
 //   │  └─ bfs                   per-destination reverse BFS fan-out
-//   ├─ verify                   alive-pair pass; incremental: + rule check
+//   ├─ verify                   masked rule check + stored pair totals
 //   └─ publish                  epoch swap + reclaim sweep
 //
 // Parallel stages carry `threads` / `parallel` args so a trace shows which

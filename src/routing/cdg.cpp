@@ -8,16 +8,24 @@ namespace {
 
 enum class Mark : std::uint8_t { kWhite, kGray, kBlack };
 
+inline bool aliveBit(std::span<const std::uint64_t> mask, ChannelId c) noexcept {
+  return mask.empty() || ((mask[c >> 6] >> (c & 63)) & 1u);
+}
+
 /// Iterative DFS that records the gray path so a cycle witness can be
 /// reconstructed without recursion (channel counts reach a few thousand).
 struct CycleFinder {
   const TurnPermissions& perms;
   const Topology& topo;
+  std::span<const std::uint64_t> alive;
   std::vector<Mark> mark;
   std::vector<ChannelId> path;  // current gray stack, in order
 
-  explicit CycleFinder(const TurnPermissions& p)
-      : perms(p), topo(p.topology()), mark(topo.channelCount(), Mark::kWhite) {}
+  CycleFinder(const TurnPermissions& p, std::span<const std::uint64_t> a)
+      : perms(p),
+        topo(p.topology()),
+        alive(a),
+        mark(topo.channelCount(), Mark::kWhite) {}
 
   /// Returns true (and fills `cycle`) if a cycle is reachable from `start`.
   bool run(ChannelId start, std::vector<ChannelId>& cycle) {
@@ -36,7 +44,10 @@ struct CycleFinder {
       bool descended = false;
       while (frame.nextIdx < outputs.size()) {
         const ChannelId next = outputs[frame.nextIdx++];
-        if (!perms.allowed(via, frame.channel, next)) continue;
+        if (!aliveBit(alive, next) ||
+            !perms.allowed(via, frame.channel, next)) {
+          continue;
+        }
         if (mark[next] == Mark::kGray) {
           // Found a cycle: the suffix of `path` starting at `next`.
           for (std::size_t i = 0; i < path.size(); ++i) {
@@ -69,12 +80,13 @@ struct CycleFinder {
 
 }  // namespace
 
-CdgResult checkChannelDependencies(const TurnPermissions& perms) {
+CdgResult checkChannelDependencies(
+    const TurnPermissions& perms, std::span<const std::uint64_t> channelAlive) {
   CdgResult result;
-  CycleFinder finder(perms);
+  CycleFinder finder(perms, channelAlive);
   const auto channels = perms.topology().channelCount();
   for (ChannelId c = 0; c < channels; ++c) {
-    if (finder.mark[c] != Mark::kWhite) continue;
+    if (finder.mark[c] != Mark::kWhite || !aliveBit(channelAlive, c)) continue;
     if (finder.run(c, result.cycle)) {
       result.acyclic = false;
       return result;

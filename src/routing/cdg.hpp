@@ -7,6 +7,8 @@
 // Lemma 1 of the paper express the same through turn cycles).
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "routing/turns.hpp"
@@ -21,7 +23,13 @@ struct CdgResult {
 };
 
 /// Checks acyclicity of the channel-dependency graph induced by `perms`.
-CdgResult checkChannelDependencies(const TurnPermissions& perms);
+/// `channelAlive` (optional, one bit per channel, empty = all alive)
+/// restricts the graph to alive channels: a dead channel is neither a
+/// vertex nor an edge end.  A fault epoch's rule gives dead channels an
+/// arbitrary direction, so only the masked graph speaks for it.
+CdgResult checkChannelDependencies(
+    const TurnPermissions& perms,
+    std::span<const std::uint64_t> channelAlive = {});
 
 /// Is channel `to` reachable from channel `from` by traversing allowed
 /// turns?  (`from` itself counts as traversed; reachability of `from` from

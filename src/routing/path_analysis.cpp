@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "topology/properties.hpp"
+
 namespace downup::routing {
 
 PathAnalysis analyzePaths(const RoutingTable& table) {
@@ -155,6 +157,28 @@ double averageAdaptivity(const RoutingTable& table) {
     }
   }
   return pairs == 0 ? 0.0 : sum / static_cast<double>(pairs);
+}
+
+Stretch pathStretch(const RoutingTable& table) {
+  const Topology& topo = table.topology();
+  const NodeId n = topo.nodeCount();
+  Stretch stretch;
+  double sum = 0.0;
+  std::uint64_t pairs = 0;
+  for (NodeId s = 0; s < n; ++s) {
+    const auto graphDist = topo::bfsDistances(topo, s);
+    for (NodeId d = 0; d < n; ++d) {
+      const std::uint16_t legal = table.distance(s, d);
+      if (s == d || legal == kNoPath) continue;
+      const double ratio = static_cast<double>(legal) /
+                           static_cast<double>(graphDist[d]);
+      sum += ratio;
+      stretch.max = std::max(stretch.max, ratio);
+      ++pairs;
+    }
+  }
+  stretch.average = pairs == 0 ? 0.0 : sum / static_cast<double>(pairs);
+  return stretch;
 }
 
 }  // namespace downup::routing

@@ -45,6 +45,18 @@ PathAnalysis analyzePaths(const RoutingTable& table);
 /// adaptivity figure used by the examples.
 double averageAdaptivity(const RoutingTable& table);
 
+/// Legal distance over graph distance, across the reachable ordered pairs
+/// (src != dst); both figures are >= 1.
+struct Stretch {
+  double average = 0.0;
+  double max = 0.0;
+};
+
+/// One topology BFS per source against the table's legal distances:
+/// O(nodes x (nodes + links)).  A diagnostic for reports; the epoch check
+/// (routing/verify.hpp) does not pay for it.
+Stretch pathStretch(const RoutingTable& table);
+
 /// One minimal legal path src -> dst as a channel sequence; uniformly random
 /// among per-hop choices when `rng` is given, lowest-numbered otherwise.
 /// Empty when src == dst or dst is unreachable.

@@ -22,11 +22,14 @@
 // path, and all such channels are candidates (Section 5 of the paper routes
 // on "the shortest possible paths", choosing among them at random).
 //
-// The steps table is the only thing stored.  Candidate queries scan one
-// node's output channels against it (and, for the turn-legal variant, the
-// turn rule) and return the result inline in a fixed-capacity Candidates
-// value: no per-query allocation, and nothing derived to rebuild or copy
-// when the table changes.
+// The steps table is the only routing state stored.  Candidate queries
+// scan one node's output channels against it (and, for the turn-legal
+// variant, the turn rule) and return the result inline in a fixed-capacity
+// Candidates value: no per-query allocation, and nothing derived to
+// rebuild or copy when the table changes.  Beside it each row keeps two
+// totals — its reachable-source count and hop sum — filled as the BFS
+// settles nodes, so pair totals cost O(nodes) and an incremental rebuild
+// pays for its dirty rows only.
 #pragma once
 
 #include <algorithm>
@@ -113,21 +116,28 @@ class RoutingTable {
   using DestinationCheck =
       std::function<bool(const RoutingTable& table, NodeId dst)>;
 
-  /// Incremental rebuild after channel deaths: produces a table with
-  /// contents identical to build(prev.permissions(), pool, channelAlive)
-  /// while re-running the batched BFS only for *dirty*
-  /// destinations — those where some newly dead channel starts a minimal
-  /// path from its source node, or continues some other channel's minimal
-  /// path.  Clean destinations provably keep every step value (the dead
-  /// channels were on none of their minimal paths), so their rows are
-  /// copied with the dead channels pinned to kNoPath.
+  /// Incremental rebuild: produces a table identical to
+  /// build(prev.permissions(), pool, channelAlive), row totals included,
+  /// while re-running the batched BFS only for *dirty* destinations.
   ///
-  /// `channelAlive` may only clear bits relative to the set prev was built
-  /// with: a revived channel needs a full build, and rebuildDead throws
-  /// std::invalid_argument naming it.  If `dirtyDestinations` is non-null
-  /// it receives the dirty set (ascending).  When `check` rejects a dirty
-  /// destination the remaining BFS work is skipped and the result is
-  /// std::nullopt; without a check it always holds a table.
+  /// The mask may either only clear bits relative to the set prev was
+  /// built with (channel deaths) or only set bits inside the rule's cover
+  /// (TurnPermissions::cover, channel revivals).
+  ///   * Deaths: d is dirty iff some newly dead channel lies on a minimal
+  ///     path of d — it starts one from its source node, or continues some
+  ///     other channel's.  Clean rows keep every step value; they are
+  ///     copied with the dead channels pinned to kNoPath.
+  ///   * Revivals: each revived channel c gets s = steps(d, c) from its
+  ///     legal successors (revived ones included).  d is dirty iff some
+  ///     finite s has an alive legal predecessor p of c with
+  ///     steps(d, p) > s + 1.  Clean rows keep every other step value and
+  ///     get c's entry patched to s.
+  /// A mask that revives a channel outside the cover, or that kills and
+  /// revives at once, needs a full build: rebuildDead throws
+  /// std::invalid_argument naming the case.  If `dirtyDestinations` is
+  /// non-null it receives the dirty set (ascending).  When `check` rejects
+  /// a dirty destination the remaining BFS work is skipped and the result
+  /// is std::nullopt; without a check it always holds a table.
   static std::optional<RoutingTable> rebuildDead(
       const RoutingTable& prev, util::ThreadPool* pool,
       std::span<const std::uint64_t> channelAlive,
@@ -136,11 +146,20 @@ class RoutingTable {
       const DestinationCheck& check = {});
 
   /// Number of destinations rebuildDead(*this, ..., channelAlive) would
-  /// recompute, or nodeCount() when a channel revived relative to this
-  /// table (the incremental path does not apply).  Cheap — O(dead channels
-  /// x nodes x degree) — so the engine can size the reconfiguration window
-  /// before running the rebuild itself.
+  /// recompute, or nodeCount() when it would refuse the mask (a revival
+  /// outside the cover, or deaths and revivals at once).  Cheap —
+  /// O(changed channels x nodes x degree) — so the engine can size the
+  /// reconfiguration window before running the rebuild itself.
   std::uint32_t dirtyDestinationCount(
+      std::span<const std::uint64_t> channelAlive) const;
+
+  /// The channels `channelAlive` kills or revives relative to the alive
+  /// set this table was built with, each ascending.
+  struct ChannelChanges {
+    std::vector<ChannelId> dead;
+    std::vector<ChannelId> revived;
+  };
+  ChannelChanges changedChannels(
       std::span<const std::uint64_t> channelAlive) const;
 
   /// Points the table at an identical permission set (same topology, same
@@ -220,8 +239,8 @@ class RoutingTable {
     return out;
   }
 
-  /// True when the two tables hold identical steps (the permissions
-  /// pointer is not compared).  Used by the determinism and
+  /// True when the two tables hold identical steps and row totals (the
+  /// permissions pointer is not compared).  Used by the determinism and
   /// incremental-equivalence tests.
   bool identicalTo(const RoutingTable& other) const noexcept;
 
@@ -232,7 +251,9 @@ class RoutingTable {
   /// Heap and object bytes this table holds (the steps table dominates:
   /// 2 bytes per (destination, channel)).
   std::size_t bytes() const noexcept {
-    return sizeof(*this) + steps_.capacity() * sizeof(std::uint16_t);
+    return sizeof(*this) + steps_.capacity() * sizeof(std::uint16_t) +
+           reach_.capacity() * sizeof(std::uint32_t) +
+           hopSum_.capacity() * sizeof(std::uint64_t);
   }
 
   /// Legal-distance totals over ordered pairs (src != dst).  The sum is an
@@ -249,9 +270,12 @@ class RoutingTable {
     }
   };
 
-  /// One destination-major pass over the table: each row yields the
-  /// distance from every other node.  `nodeAlive` (optional, one byte per
-  /// node, empty = all alive) restricts both endpoints to alive nodes.
+  /// Sums the per-destination totals every row stores (its reachable-source
+  /// count and hop sum, filled when the row is computed): O(nodes).
+  /// `nodeAlive` (optional, one byte per node, empty = all alive) restricts
+  /// both endpoints to alive nodes; every channel of a dead node must be
+  /// dead in the table's mask, as a fault epoch's is, so that no dead
+  /// source is counted as reached.
   PairTotals pairTotals(std::span<const std::uint8_t> nodeAlive = {}) const;
 
   /// True when distance(s, d) is finite for every ordered pair.
@@ -268,24 +292,28 @@ class RoutingTable {
   const std::uint16_t* row(NodeId dst) const noexcept {
     return steps_.data() + static_cast<std::size_t>(dst) * channelCount_;
   }
-  /// Writes the steps rows of `dsts` (steps_ already sized), 64
-  /// destinations per BFS sweep, the sweeps fanned out over `pool`.
-  /// `check` (optional) sees each destination once its batch is final;
-  /// the first rejection skips the batches not yet started and makes the
-  /// result false.
+  /// Writes the steps rows and row totals of `dsts` (steps_ already
+  /// sized), 64 destinations per BFS sweep, the sweeps fanned out over
+  /// `pool`.  `check` (optional) sees each destination once its batch is
+  /// final; the first rejection skips the batches not yet started and
+  /// makes the result false.
   bool computeRows(std::span<const NodeId> dsts, util::ThreadPool* pool,
                    std::span<const std::uint64_t> channelAlive,
                    const DestinationCheck& check);
-  bool computeDeadDelta(std::span<const std::uint64_t> channelAlive,
-                        std::vector<ChannelId>& newlyDead,
-                        std::vector<std::uint8_t>& dirty,
-                        ChannelId* revived = nullptr) const;
+
+  /// The channels a mask kills or revives relative to this table, and the
+  /// dirty destinations when rebuildDead accepts the mask (.cpp).
+  struct Delta;
+  Delta computeDelta(std::span<const std::uint64_t> channelAlive) const;
 
   const TurnPermissions* perms_ = nullptr;
   const Topology* topo_ = nullptr;
   std::uint32_t channelCount_ = 0;
   std::uint32_t nodeCount_ = 0;
   std::vector<std::uint16_t> steps_;  // [dst * channelCount_ + channel]
+  // Per destination: sources with a finite distance, and their distance sum.
+  std::vector<std::uint32_t> reach_;
+  std::vector<std::uint64_t> hopSum_;
 };
 
 }  // namespace downup::routing

@@ -19,6 +19,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -114,6 +115,19 @@ class TurnPermissions {
   std::size_t releaseCount() const noexcept;
   std::size_t blockCount() const noexcept;
 
+  /// The rule's *cover*: the channels (one bit each) its dependency graph
+  /// was checked acyclic on.  Removing channels from an acyclic graph
+  /// cannot create a cycle, so the rule is deadlock-free on every alive
+  /// set inside the cover.  Empty — the default, e.g. for a rule loaded
+  /// from a file — covers no channel.  Copies carry the cover along.
+  std::span<const std::uint64_t> cover() const noexcept { return cover_; }
+  void setCover(std::vector<std::uint64_t> channels) {
+    cover_ = std::move(channels);
+  }
+  bool covers(ChannelId c) const noexcept {
+    return (c >> 6) < cover_.size() && ((cover_[c >> 6] >> (c & 63)) & 1u);
+  }
+
  private:
   static std::uint64_t bit(Dir d1, Dir d2) noexcept {
     return std::uint64_t{1} << (index(d1) * kDirCount + index(d2));
@@ -124,6 +138,7 @@ class TurnPermissions {
   TurnSet global_;
   std::vector<std::uint64_t> released_;  // 8x8 bitmask per node
   std::vector<std::uint64_t> blocked_;   // 8x8 bitmask per node
+  std::vector<std::uint64_t> cover_;     // one bit per channel
 };
 
 }  // namespace downup::routing

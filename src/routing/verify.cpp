@@ -1,10 +1,8 @@
 #include "routing/verify.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "routing/cdg.hpp"
-#include "topology/properties.hpp"
 
 namespace downup::routing {
 
@@ -13,48 +11,28 @@ std::string VerifyReport::describe() const {
   out << (deadlockFree ? "deadlock-free" : "HAS CHANNEL-DEPENDENCY CYCLE")
       << ", " << (connected ? "connected" : "NOT CONNECTED");
   if (unreachablePairs > 0) out << " (" << unreachablePairs << " pairs unreachable)";
-  out << ", avg path " << averagePathLength << ", avg stretch "
-      << averageStretch << ", max stretch " << maxStretch;
+  out << ", avg path " << averagePathLength;
   return out.str();
 }
 
-VerifyReport verifyRouting(const Routing& routing) {
+VerifyReport verifyRouting(const TurnPermissions& perms,
+                           const RoutingTable& table,
+                           std::span<const std::uint64_t> channelAlive,
+                           std::span<const std::uint8_t> nodeAlive) {
   VerifyReport report;
-  const auto cdg = checkChannelDependencies(routing.permissions());
+  CdgResult cdg = checkChannelDependencies(perms, channelAlive);
   report.deadlockFree = cdg.acyclic;
-  report.cycleWitness = cdg.cycle;
-
-  const RoutingTable& table = routing.table();
-  const Topology& topo = table.topology();
-  const NodeId n = topo.nodeCount();
-  double pathSum = 0.0;
-  double stretchSum = 0.0;
-  std::uint64_t pairs = 0;
-  for (NodeId s = 0; s < n; ++s) {
-    const auto graphDist = topo::bfsDistances(topo, s);
-    for (NodeId d = 0; d < n; ++d) {
-      if (s == d) continue;
-      const std::uint16_t legal = table.distance(s, d);
-      if (legal == kNoPath) {
-        ++report.unreachablePairs;
-        continue;
-      }
-      pathSum += legal;
-      const double stretch =
-          graphDist[d] == 0 ? 1.0
-                            : static_cast<double>(legal) /
-                                  static_cast<double>(graphDist[d]);
-      stretchSum += stretch;
-      report.maxStretch = std::max(report.maxStretch, stretch);
-      ++pairs;
-    }
-  }
-  report.connected = report.unreachablePairs == 0 && n > 0;
-  report.averagePathLength =
-      pairs == 0 ? 0.0 : pathSum / static_cast<double>(pairs);
-  report.averageStretch =
-      pairs == 0 ? 0.0 : stretchSum / static_cast<double>(pairs);
+  report.cycleWitness = std::move(cdg.cycle);
+  const RoutingTable::PairTotals pairs = table.pairTotals(nodeAlive);
+  report.unreachablePairs = pairs.unreachablePairs;
+  report.connected =
+      pairs.unreachablePairs == 0 && table.topology().nodeCount() > 0;
+  report.averagePathLength = pairs.meanHops();
   return report;
+}
+
+VerifyReport verifyRouting(const Routing& routing) {
+  return verifyRouting(routing.permissions(), routing.table());
 }
 
 }  // namespace downup::routing

@@ -1,9 +1,13 @@
-// One-call validation of a routing: deadlock freedom (acyclic channel
-// dependencies) and connectivity (every ordered pair reachable on legal
-// paths), plus path-quality diagnostics.
+// One-call validation of a routing epoch: deadlock freedom (the rule's
+// channel-dependency graph, restricted to alive channels, is acyclic) and
+// connectivity (every ordered pair of alive nodes reachable on legal
+// paths), read off the table's stored row totals.  Construction, both
+// fault-rebuild paths and the examples share this one check; path-quality
+// figures such as stretch live in routing/path_analysis.hpp.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,13 +22,18 @@ struct VerifyReport {
   std::vector<ChannelId> cycleWitness;
   std::uint64_t unreachablePairs = 0;
   double averagePathLength = 0.0;
-  /// Mean over connected pairs of legal-distance / graph-distance (>= 1).
-  double averageStretch = 0.0;
-  double maxStretch = 0.0;
 
   bool ok() const noexcept { return deadlockFree && connected; }
   std::string describe() const;
 };
+
+/// `channelAlive` (one bit per channel) and `nodeAlive` (one byte per node)
+/// are the epoch's masks, empty = all alive; `table` must have been built
+/// under `channelAlive`.  O(channels x degree + nodes).
+VerifyReport verifyRouting(const TurnPermissions& perms,
+                           const RoutingTable& table,
+                           std::span<const std::uint64_t> channelAlive = {},
+                           std::span<const std::uint8_t> nodeAlive = {});
 
 VerifyReport verifyRouting(const Routing& routing);
 

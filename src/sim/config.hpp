@@ -96,10 +96,14 @@ struct SimConfig {
   /// Reconfigure incrementally when possible: keep the previous epoch's
   /// turn rule (restricting an acyclic dependency graph to the surviving
   /// channels cannot create a cycle) and rebuild only the destinations a
-  /// failed link can affect, scaling the reconfiguration window by the
-  /// fraction of routing work actually redone.  Falls back to a full
-  /// rebuild — and the full window — when a resource revived or the
-  /// inherited rule leaves an alive component partially unreachable.
+  /// failed or recovered link can affect, scaling the reconfiguration
+  /// window by the fraction of routing work actually redone.  Recoveries
+  /// qualify only inside the rule's cover — the channels a full rebuild
+  /// checked it on — so the run's initial table, which no rebuild checked,
+  /// recovers by a full rebuild.  Falls back to a full rebuild — and the
+  /// full window — for a revival outside the cover, a DOWN/UP tree-link
+  /// failure, an event that kills and revives at once, or an inherited
+  /// rule that leaves an alive component partially unreachable.
   /// Default off: the fixed-window protocol stays bit-for-bit identical to
   /// previous releases.
   bool reconfigIncremental = false;

@@ -5,8 +5,14 @@
 //   * the incremental table is bit-for-bit identical to a full masked
 //     RoutingTable::build of the inherited rule, at any thread count, for
 //     every single-link failure and across accumulated multi-link failures;
-//   * a revived resource forces the full-rebuild path (incremental never
-//     handles topology growth);
+//   * a recovery whose revived channels lie inside the inherited rule's
+//     cover (the alive set a full rebuild checked it on) stays incremental
+//     and reproduces the clean epoch bit for bit; a revival outside the
+//     cover, or an event that kills and revives at once, forces the full
+//     rebuild;
+//   * the masked dependency check keeps accumulated failures on the
+//     incremental path, and a DOWN/UP tree-channel failure, which the
+//     inherited rule never serves, goes straight to the full rebuild;
 //   * when the inherited rule cannot serve every surviving pair (e.g. a
 //     tree link whose loss severs the only legal detour) the incremental
 //     path detects it and falls back to the full rebuild, so every outcome
@@ -16,13 +22,18 @@
 //     results verified and fully drained.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <iostream>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "core/downup_routing.hpp"
 #include "fault/reconfigure.hpp"
+#include "routing/cdg.hpp"
 #include "fault/schedule.hpp"
 #include "routing/routing_table.hpp"
 #include "sim/network.hpp"
@@ -127,8 +138,11 @@ TEST(IncrementalReconfigTest, RejectedDestinationAbandonsRebuildDead) {
   EXPECT_EQ(checked, 1u);
 }
 
-// The revived-channel precondition is a checked error, not an assert: this
-// test runs (and must pass) in Release builds.
+// A revival outside the rule's cover is a checked error, not an assert:
+// this test runs (and must pass) in Release builds.  A full rebuild's
+// cover is its own alive mask, so the link it was built without is
+// outside; the same revival from an epoch whose cover holds the link is
+// accepted.
 TEST(IncrementalReconfigTest, RebuildDeadRefusesRevivedChannel) {
   const topo::Topology topo = makeSan(24, 2024);
   const Reconfigurator reconf(topo);
@@ -137,11 +151,23 @@ TEST(IncrementalReconfigTest, RebuildDeadRefusesRevivedChannel) {
   const ReconfigOutcome prev =
       reconf.rebuild(degraded, allAlive(topo.nodeCount()));
   ASSERT_TRUE(prev.ok());
+  ASSERT_FALSE(prev.perms->covers(0));
+  ASSERT_FALSE(prev.perms->covers(1));
   const std::vector<std::uint64_t> healthy =
       channelMask(topo, allAlive(topo.linkCount()));
   EXPECT_THROW(routing::RoutingTable::rebuildDead(*prev.table, nullptr,
                                                   healthy),
                std::invalid_argument);
+
+  const ReconfigOutcome clean =
+      reconf.rebuild(allAlive(topo.linkCount()), allAlive(topo.nodeCount()));
+  ASSERT_TRUE(clean.perms->covers(0));
+  const routing::RoutingTable failed = routing::RoutingTable::build(
+      *clean.perms, nullptr, channelMask(topo, degraded));
+  const std::optional<routing::RoutingTable> recovered =
+      routing::RoutingTable::rebuildDead(failed, nullptr, healthy);
+  ASSERT_TRUE(recovered.has_value());
+  EXPECT_TRUE(recovered->identicalTo(*clean.table));
 }
 
 TEST(IncrementalReconfigTest, AccumulatedFailuresAndThreadCountDeterminism) {
@@ -173,6 +199,19 @@ TEST(IncrementalReconfigTest, AccumulatedFailuresAndThreadCountDeterminism) {
     prev = std::move(serialOut);
   }
   EXPECT_GE(incrementalEpochs, 1u);
+
+  // All three links recover in one event: six channels revive at once, so
+  // their new steps depend on one another.
+  const std::vector<std::uint8_t> allUp = allAlive(topo.linkCount());
+  const ReconfigOutcome serialUp =
+      serial.rebuildIncremental(*prev.table, allUp, nodesUp);
+  const ReconfigOutcome pooledUp =
+      pooled.rebuildIncremental(*prev.table, allUp, nodesUp);
+  ASSERT_TRUE(serialUp.ok());
+  EXPECT_EQ(serialUp.incremental, pooledUp.incremental);
+  EXPECT_TRUE(serialUp.table->identicalTo(*pooledUp.table));
+  EXPECT_TRUE(serialUp.table->identicalTo(routing::RoutingTable::build(
+      *serialUp.perms, nullptr, channelMask(topo, allUp))));
 }
 
 TEST(IncrementalReconfigTest, RevivalForcesFullRebuild) {
@@ -212,7 +251,8 @@ TEST(IncrementalReconfigTest, DirtyFractionBoundsAndFallbackConsistency) {
     EXPECT_GT(fraction, 0.0);
     EXPECT_LE(fraction, 1.0);
   }
-  // A revival reports the full fraction (incremental cannot apply).
+  // A revival outside the cover reports the full fraction (incremental
+  // cannot apply).
   std::vector<std::uint8_t> degraded = allAlive(topo.linkCount());
   degraded[2] = 0;
   const ReconfigOutcome prev = reconf.rebuild(degraded, nodesUp);
@@ -220,6 +260,268 @@ TEST(IncrementalReconfigTest, DirtyFractionBoundsAndFallbackConsistency) {
   EXPECT_EQ(reconf.incrementalDirtyFraction(
                 *prev.table, allAlive(topo.linkCount()), nodesUp),
             1.0);
+
+  // Recoveries: after an incremental failure the recovery's fraction is
+  // the share of destinations it rebuilds, and it agrees with the path
+  // that then runs; after a full-rebuild failure it is 1.0.
+  const double n = static_cast<double>(topo.nodeCount());
+  unsigned incrementalRecoveries = 0;
+  for (topo::LinkId l = 0; l < topo.linkCount(); ++l) {
+    SCOPED_TRACE(testing::Message() << "link " << l);
+    std::vector<std::uint8_t> linksUp = allAlive(topo.linkCount());
+    linksUp[l] = 0;
+    const ReconfigOutcome failed =
+        reconf.rebuildIncremental(*healthy.table, linksUp, nodesUp);
+    const std::vector<std::uint8_t> allUp = allAlive(topo.linkCount());
+    const double fraction =
+        reconf.incrementalDirtyFraction(*failed.table, allUp, nodesUp);
+    const ReconfigOutcome recovered =
+        reconf.rebuildIncremental(*failed.table, allUp, nodesUp);
+    ASSERT_TRUE(recovered.ok());
+    EXPECT_EQ(recovered.incremental, failed.incremental);
+    if (recovered.incremental) {
+      ++incrementalRecoveries;
+      EXPECT_DOUBLE_EQ(
+          fraction,
+          std::max(1.0, static_cast<double>(recovered.rebuiltDestinations)) /
+              n);
+    } else {
+      EXPECT_EQ(fraction, 1.0);
+    }
+  }
+  EXPECT_GT(incrementalRecoveries, 0u);
+}
+
+// Every single-link fail -> recover pair on 64-switch fabrics.  A recovery
+// after an incremental failure revives channels inside the inherited
+// rule's cover, so it stays incremental and must equal both the masked
+// full build of that rule and the clean epoch, at any thread count.  A
+// recovery after a full-rebuild failure revives channels the new rule
+// never covered and takes the full rebuild.
+TEST(IncrementalReconfigTest, RecoveryAfterFailureRestoresCleanEpoch) {
+  util::ThreadPool four(4);
+  for (const unsigned ports : {4u, 8u}) {
+    util::Rng rng(2004);
+    const topo::Topology topo =
+        topo::randomIrregular(64, {.maxPorts = ports}, rng);
+    const Reconfigurator serial(topo);
+    const Reconfigurator pooled(topo, &four);
+    const std::vector<std::uint8_t> nodesUp = allAlive(topo.nodeCount());
+    const std::vector<std::uint8_t> allUp = allAlive(topo.linkCount());
+    const ReconfigOutcome clean = serial.rebuild(allUp, nodesUp);
+    ASSERT_TRUE(clean.ok());
+
+    unsigned incrementalRecoveries = 0;
+    for (topo::LinkId l = 0; l < topo.linkCount(); ++l) {
+      SCOPED_TRACE(testing::Message() << ports << " ports, link " << l);
+      std::vector<std::uint8_t> linksUp = allUp;
+      linksUp[l] = 0;
+      const ReconfigOutcome failed =
+          serial.rebuildIncremental(*clean.table, linksUp, nodesUp);
+      ASSERT_TRUE(failed.ok());
+      const ReconfigOutcome recovered =
+          serial.rebuildIncremental(*failed.table, allUp, nodesUp);
+      const ReconfigOutcome recoveredPooled =
+          pooled.rebuildIncremental(*failed.table, allUp, nodesUp);
+      ASSERT_TRUE(recovered.ok());
+      EXPECT_EQ(recovered.incremental, failed.incremental);
+      EXPECT_EQ(recoveredPooled.incremental, recovered.incremental);
+      EXPECT_TRUE(recoveredPooled.table->identicalTo(*recovered.table));
+      if (!recovered.incremental) continue;
+      ++incrementalRecoveries;
+      const routing::RoutingTable masked = routing::RoutingTable::build(
+          *recovered.perms, nullptr, channelMask(topo, allUp));
+      EXPECT_TRUE(recovered.table->identicalTo(masked));
+      EXPECT_TRUE(recovered.table->identicalTo(*clean.table));
+      EXPECT_EQ(recovered.averagePathLength, clean.averagePathLength);
+      EXPECT_EQ(recovered.rebuiltDestinations,
+                failed.table->dirtyDestinationCount(channelMask(topo, allUp)));
+    }
+    EXPECT_GT(incrementalRecoveries, 0u);
+  }
+}
+
+// Several links fail one after another, each served incrementally, then
+// all recover in one event: their channels revive together, so the new
+// steps of one depend on another's.  The recovery stays inside the clean
+// rule's cover and must give back the clean epoch, at any thread count.
+TEST(IncrementalReconfigTest, MultiLinkRecoveryRestoresCleanEpoch) {
+  util::ThreadPool four(4);
+  for (const unsigned ports : {4u, 8u}) {
+    SCOPED_TRACE(testing::Message() << ports << " ports");
+    util::Rng rng(2004);
+    const topo::Topology topo =
+        topo::randomIrregular(64, {.maxPorts = ports}, rng);
+    const Reconfigurator serial(topo);
+    const Reconfigurator pooled(topo, &four);
+    const std::vector<std::uint8_t> nodesUp = allAlive(topo.nodeCount());
+    const std::vector<std::uint8_t> allUp = allAlive(topo.linkCount());
+    const ReconfigOutcome clean = serial.rebuild(allUp, nodesUp);
+    ASSERT_TRUE(clean.ok());
+
+    std::vector<std::uint8_t> linksUp = allUp;
+    ReconfigOutcome prev = serial.rebuildIncremental(*clean.table, allUp,
+                                                     nodesUp);
+    unsigned failed = 0;
+    for (topo::LinkId l = 0; l < topo.linkCount() && failed < 4; l += 5) {
+      linksUp[l] = 0;
+      ReconfigOutcome next =
+          serial.rebuildIncremental(*prev.table, linksUp, nodesUp);
+      if (!next.incremental) {
+        linksUp[l] = 1;
+        continue;
+      }
+      ++failed;
+      prev = std::move(next);
+    }
+    ASSERT_EQ(failed, 4u);
+    const ReconfigOutcome up =
+        serial.rebuildIncremental(*prev.table, allUp, nodesUp);
+    const ReconfigOutcome upPooled =
+        pooled.rebuildIncremental(*prev.table, allUp, nodesUp);
+    ASSERT_TRUE(up.ok());
+    EXPECT_TRUE(up.incremental);
+    EXPECT_TRUE(upPooled.incremental);
+    EXPECT_TRUE(up.table->identicalTo(*clean.table));
+    EXPECT_TRUE(upPooled.table->identicalTo(*clean.table));
+  }
+}
+
+/// Alive-component label per node over the alive links (BFS).
+std::vector<std::uint32_t> componentsOf(
+    const topo::Topology& topo, const std::vector<std::uint8_t>& linksUp) {
+  std::vector<std::uint32_t> comp(topo.nodeCount(),
+                                  static_cast<std::uint32_t>(-1));
+  std::uint32_t next = 0;
+  for (topo::NodeId root = 0; root < topo.nodeCount(); ++root) {
+    if (comp[root] != static_cast<std::uint32_t>(-1)) continue;
+    std::vector<topo::NodeId> stack{root};
+    comp[root] = next;
+    while (!stack.empty()) {
+      const topo::NodeId u = stack.back();
+      stack.pop_back();
+      const auto outputs = topo.outputChannels(u);
+      for (std::size_t i = 0; i < outputs.size(); ++i) {
+        const topo::NodeId w = topo.neighbors(u)[i];
+        if (!linksUp[topo::Topology::linkOf(outputs[i])] ||
+            comp[w] != static_cast<std::uint32_t>(-1)) {
+          continue;
+        }
+        comp[w] = next;
+        stack.push_back(w);
+      }
+    }
+    ++next;
+  }
+  return comp;
+}
+
+// The probe behind the tree-channel rule: from a clean epoch, rebuildDead
+// with the incremental path's reachability check (every same-component
+// source still reaches each dirty destination) rejects every DOWN/UP
+// tree-channel failure on these fabrics, so Reconfigurator skips the
+// attempt.  Cross-channel failures are mostly served.
+TEST(IncrementalReconfigTest, TreeChannelFailureNeverStaysIncremental) {
+  unsigned treeFailures = 0;
+  unsigned crossServed = 0;
+  unsigned crossFailures = 0;
+  for (const unsigned ports : {4u, 8u}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      util::Rng rng(seed);
+      const topo::Topology topo =
+          topo::randomIrregular(64, {.maxPorts = ports}, rng);
+      const Reconfigurator reconf(topo);
+      const ReconfigOutcome clean = reconf.rebuild(
+          allAlive(topo.linkCount()), allAlive(topo.nodeCount()));
+      ASSERT_TRUE(clean.ok());
+      for (topo::LinkId l = 0; l < topo.linkCount(); ++l) {
+        std::vector<std::uint8_t> linksUp = allAlive(topo.linkCount());
+        linksUp[l] = 0;
+        const std::vector<std::uint32_t> comp = componentsOf(topo, linksUp);
+        const auto reached = [&comp](const routing::RoutingTable& table,
+                                     topo::NodeId dst) {
+          for (topo::NodeId s = 0; s < comp.size(); ++s) {
+            if (s != dst && comp[s] == comp[dst] &&
+                table.distance(s, dst) == routing::kNoPath) {
+              return false;
+            }
+          }
+          return true;
+        };
+        const bool served =
+            routing::RoutingTable::rebuildDead(*clean.table, nullptr,
+                                               channelMask(topo, linksUp),
+                                               nullptr, nullptr, reached)
+                .has_value();
+        const routing::Dir dir = clean.perms->dir(2 * l);
+        if (dir == routing::Dir::kLuTree || dir == routing::Dir::kRdTree) {
+          ++treeFailures;
+          EXPECT_FALSE(served) << ports << " ports, seed " << seed
+                               << ", tree link " << l;
+        } else {
+          ++crossFailures;
+          crossServed += served ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(treeFailures, 40u * 63u);
+  EXPECT_GT(crossServed, crossFailures * 9 / 10);
+}
+
+// Accumulated failures stay incremental.  A full rebuild's host rule gives
+// dead channels an arbitrary direction; an unmasked dependency check saw
+// false cycles through them and sent nearly every second failure to the
+// full rebuild.  On each fabric, every 7th link is failed by a full
+// rebuild, then link+3 (mod the link count) incrementally on top; the share served
+// incrementally must match, within 5 points, the share when link+3 fails
+// alone from the clean epoch.
+TEST(IncrementalReconfigTest, AccumulatedFailureShareMatchesFromClean) {
+  unsigned pairs = 0;
+  unsigned accumulated = 0;
+  unsigned fromClean = 0;
+  for (const unsigned ports : {4u, 8u}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      util::Rng rng(seed);
+      const topo::Topology topo =
+          topo::randomIrregular(64, {.maxPorts = ports}, rng);
+      const Reconfigurator reconf(topo);
+      const std::vector<std::uint8_t> nodesUp = allAlive(topo.nodeCount());
+      const ReconfigOutcome clean =
+          reconf.rebuild(allAlive(topo.linkCount()), nodesUp);
+      ASSERT_TRUE(clean.ok());
+      for (topo::LinkId l = 0; l < topo.linkCount(); l += 7) {
+        const topo::LinkId next = (l + 3) % topo.linkCount();
+        SCOPED_TRACE(testing::Message() << ports << " ports, seed " << seed
+                                        << ", links " << l << ", " << next);
+        std::vector<std::uint8_t> first = allAlive(topo.linkCount());
+        first[l] = 0;
+        const ReconfigOutcome prev = reconf.rebuild(first, nodesUp);
+        ASSERT_TRUE(routing::checkChannelDependencies(*prev.perms,
+                                                      channelMask(topo, first))
+                        .acyclic);
+        std::vector<std::uint8_t> both = first;
+        both[next] = 0;
+        const ReconfigOutcome second =
+            reconf.rebuildIncremental(*prev.table, both, nodesUp);
+        std::vector<std::uint8_t> alone = allAlive(topo.linkCount());
+        alone[next] = 0;
+        const ReconfigOutcome single =
+            reconf.rebuildIncremental(*clean.table, alone, nodesUp);
+        ASSERT_TRUE(second.ok());
+        ASSERT_TRUE(single.ok());
+        ++pairs;
+        accumulated += second.incremental ? 1 : 0;
+        fromClean += single.incremental ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_EQ(pairs, 1120u);
+  std::cout << accumulated << " accumulated vs " << fromClean
+            << " from clean of " << pairs << "\n";
+  const double gap = (static_cast<double>(fromClean) - accumulated) / pairs;
+  EXPECT_LE(std::abs(gap), 0.05)
+      << accumulated << " accumulated vs " << fromClean << " from clean";
 }
 
 // Engine integration: the same fault scenario with and without

@@ -114,5 +114,29 @@ TEST(AverageAdaptivity, TwoChoicesForOppositeRingPairs) {
               1e-12);
 }
 
+// Stretch moved here from verify_test: the epoch check no longer pays for a
+// topology BFS per source.
+TEST(PathStretch, CompleteGraphHasNone) {
+  const Topology topo = topo::complete(5);
+  util::Rng rng(1);
+  const Routing routing = buildUpDown(
+      topo, CoordinatedTree::build(topo, TreePolicy::kM1SmallestFirst, rng));
+  const Stretch stretch = pathStretch(routing.table());
+  EXPECT_DOUBLE_EQ(stretch.average, 1.0);
+  EXPECT_DOUBLE_EQ(stretch.max, 1.0);
+}
+
+TEST(PathStretch, ReflectsDetours) {
+  const Topology topo = topo::ring(5);
+  util::Rng rng(1);
+  const Routing routing = buildUpDown(
+      topo, CoordinatedTree::build(topo, TreePolicy::kM1SmallestFirst, rng));
+  const Stretch stretch = pathStretch(routing.table());
+  // 2 -> 4 detours 3 hops instead of 2 (see routing_table_test).
+  EXPECT_GT(stretch.max, 1.0);
+  EXPECT_GE(stretch.average, 1.0);
+  EXPECT_LE(stretch.average, stretch.max);
+}
+
 }  // namespace
 }  // namespace downup::routing

@@ -26,8 +26,6 @@ TEST(VerifyRouting, HealthyRoutingPassesWithExactDiagnostics) {
   EXPECT_EQ(report.unreachablePairs, 0u);
   // Complete graph: every legal path is the direct link.
   EXPECT_DOUBLE_EQ(report.averagePathLength, 1.0);
-  EXPECT_DOUBLE_EQ(report.averageStretch, 1.0);
-  EXPECT_DOUBLE_EQ(report.maxStretch, 1.0);
 }
 
 TEST(VerifyRouting, CyclicPermissionsAreReported) {
@@ -58,15 +56,11 @@ TEST(VerifyRouting, DisconnectionIsCounted) {
   EXPECT_FALSE(report.ok());
 }
 
-TEST(VerifyRouting, StretchReflectsDetours) {
+TEST(VerifyRouting, PathLengthIsAtLeastGraphDistance) {
   const Topology topo = topo::ring(5);
   const Routing routing = buildUpDown(topo, m1Tree(topo));
   const VerifyReport report = verifyRouting(routing);
   EXPECT_TRUE(report.ok());
-  // 2 -> 4 detours 3 hops instead of 2 (see routing_table_test).
-  EXPECT_GT(report.maxStretch, 1.0);
-  EXPECT_GE(report.averageStretch, 1.0);
-  EXPECT_LE(report.averageStretch, report.maxStretch);
   EXPECT_GE(report.averagePathLength, topo::averageDistance(topo));
 }
 
