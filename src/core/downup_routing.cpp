@@ -21,6 +21,14 @@ routing::TurnPermissions buildDownUpRule(const routing::Topology& topo,
     util::ScopedSpan releaseSpan(options.spans, "release");
     releaseRedundantProhibitions(perms);
   }
+  // Repair returns only once the unmasked dependency graph is acyclic, and
+  // each release is checked against it, so the rule covers every channel.
+  if (options.repairCycles) {
+    const std::size_t channels = topo.channelCount();
+    std::vector<std::uint64_t> all((channels + 63) / 64, ~std::uint64_t{0});
+    if (channels % 64 != 0) all.back() >>= 64 - channels % 64;
+    perms.setCover(std::move(all));
+  }
   return perms;
 }
 

@@ -32,7 +32,8 @@ struct DownUpOptions {
 
 /// Builds the DOWN/UP turn rule over a coordinated tree: Definition-5
 /// channel directions, the 18-turn prohibited set, and optionally the
-/// repair and per-node release passes.  `options.pool` is unused here.
+/// repair and per-node release passes.  With repairCycles the rule covers
+/// every channel (TurnPermissions::cover).  `options.pool` is unused here.
 routing::TurnPermissions buildDownUpRule(const routing::Topology& topo,
                                          const tree::CoordinatedTree& ct,
                                          const DownUpOptions& options = {});

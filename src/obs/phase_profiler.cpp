@@ -38,13 +38,6 @@ PhaseProfiler::PhaseProfiler(util::SpanRecorder* recorder)
   }
 }
 
-util::PerfCounts PhaseProfiler::phaseCounts(Phase phase) const {
-  for (const util::SpanRecorder::Aggregate& agg : recorder_->aggregates()) {
-    if (agg.name == kSlotNames[phase]) return agg.counters;
-  }
-  return {};
-}
-
 std::uint64_t PhaseProfiler::totalNanos() const noexcept {
   std::uint64_t total = 0;
   for (std::uint8_t p = 0; p < kPhaseCount; ++p) {
@@ -63,14 +56,6 @@ void PhaseProfiler::reset() noexcept {
 void PhaseProfiler::report(std::ostream& out) const {
   const double total = static_cast<double>(totalNanos());
   const double cycles = static_cast<double>(cycles_ == 0 ? 1 : cycles_);
-  // Counter columns appear only when the counted path actually ran — the
-  // plain report stays byte-identical to the pre-counter format.
-  std::array<util::PerfCounts, kPhaseCount> counts;
-  bool anyCounts = false;
-  for (std::uint8_t p = 0; p < kPhaseCount; ++p) {
-    counts[p] = phaseCounts(static_cast<Phase>(p));
-    anyCounts = anyCounts || !counts[p].empty();
-  }
   out << "phase profile (" << cycles_ << " cycles):\n";
   for (std::uint8_t p = 0; p < kPhaseCount; ++p) {
     const auto phase = static_cast<Phase>(p);
@@ -80,22 +65,7 @@ void PhaseProfiler::report(std::ostream& out) const {
         << nanos / 1e6 << " ms  " << std::setw(5) << std::setprecision(1)
         << (total > 0.0 ? 100.0 * nanos / total : 0.0) << "%  "
         << std::setw(8) << std::setprecision(1) << nanos / cycles
-        << " ns/cycle";
-    if (anyCounts) {
-      out << "  ipc ";
-      if (counts[p].ipc() >= 0) {
-        out << std::setprecision(2) << counts[p].ipc();
-      } else {
-        out << "-";
-      }
-      out << "  miss ";
-      if (counts[p].cacheMissRate() >= 0) {
-        out << std::setprecision(3) << counts[p].cacheMissRate();
-      } else {
-        out << "-";
-      }
-    }
-    out << "\n";
+        << " ns/cycle\n";
   }
 }
 

@@ -1,9 +1,8 @@
-// Wall-clock (and optionally counter-level) attribution of the engine's
-// per-cycle phases, so a perf regression can be pinned to allocation vs
-// arbitration vs flow control instead of showing up only as a lower
-// aggregate cycles/sec.  The engine times each phase with steady_clock only
-// when a profiler is attached; the detached path keeps the plain phase
-// calls (see WormholeNetwork::step).
+// Wall-clock attribution of the engine's per-cycle phases, so a perf
+// regression can be pinned to allocation vs arbitration vs flow control
+// instead of showing up only as a lower aggregate cycles/sec.  The engine
+// times each phase with steady_clock only when a profiler is attached; the
+// detached path keeps the plain phase calls (see WormholeNetwork::step).
 //
 // The profiler is a facade over util::SpanRecorder's aggregate slots — the
 // same substrate the control-plane rebuild spans use — so engine phases and
@@ -13,11 +12,6 @@
 // fixed slots.  By default the profiler owns a private recorder; hand it a
 // shared one (Observer does this when control-plane spans are also enabled)
 // and the phase totals export alongside the rebuild trace.
-//
-// With a PerfCounterGroup attached (attachCounters), the engine's counted
-// path additionally folds per-phase counter deltas into the same slots, so
-// report() can print per-phase IPC and cache-miss rates — or say why it
-// can't (unavailable counters report their reason, never silent zeros).
 #pragma once
 
 #include <array>
@@ -25,7 +19,6 @@
 #include <iosfwd>
 #include <memory>
 
-#include "util/perf_counters.hpp"
 #include "util/span_recorder.hpp"
 
 namespace downup::obs {
@@ -49,27 +42,12 @@ class PhaseProfiler {
   void add(Phase phase, std::uint64_t nanos) noexcept {
     recorder_->accumulate(ids_[phase], nanos);
   }
-  /// Folds a counter delta into a phase's slot (engine counted path).
-  void addCounts(Phase phase, const util::PerfCounts& delta) noexcept {
-    recorder_->accumulateCounts(ids_[phase], delta);
-  }
   void endCycle() noexcept { ++cycles_; }
-
-  /// Attaches a counter group: the engine switches to its counted phase
-  /// path (reads the group at phase boundaries) when this is non-null and
-  /// available.  The group must belong to the simulating thread.
-  void attachCounters(util::PerfCounterGroup* counters) noexcept {
-    counters_ = counters;
-  }
-  util::PerfCounterGroup* counters() const noexcept { return counters_; }
 
   std::uint64_t cycles() const noexcept { return cycles_; }
   std::uint64_t phaseNanos(Phase phase) const noexcept {
     return recorder_->aggregateNs(ids_[phase]);
   }
-  /// Summed counter deltas attributed to one phase (mask 0 when the
-  /// counted path never ran).
-  util::PerfCounts phaseCounts(Phase phase) const;
   std::uint64_t totalNanos() const noexcept;
 
   void reset() noexcept;
@@ -80,15 +58,12 @@ class PhaseProfiler {
   const util::SpanRecorder* recorder() const noexcept { return recorder_; }
 
   /// One line per phase: total ms, share of the phase sum, ns/cycle.
-  /// When per-phase counter data exists, each line gains IPC and
-  /// cache-miss-rate columns (absent events print "-", never zero).
   void report(std::ostream& out) const;
 
  private:
   std::unique_ptr<util::SpanRecorder> owned_;
   util::SpanRecorder* recorder_;
   std::array<std::uint32_t, kPhaseCount> ids_{};
-  util::PerfCounterGroup* counters_ = nullptr;
   std::uint64_t cycles_ = 0;
 };
 

@@ -129,12 +129,8 @@ void writeSpansJsonl(const SpanRecorder& spans, std::ostream& out) {
   }
   for (const SpanRecorder::Aggregate& agg : aggregates) {
     out << "{\"record\":\"aggregate\",\"name\":\"" << agg.name
-        << "\",\"count\":" << agg.count << ",\"totalNs\":" << agg.totalNs;
-    if (!agg.counters.empty()) {
-      out << ",\"counters\":";
-      writeCountersJson(agg.counters, out);
-    }
-    out << "}\n";
+        << "\",\"count\":" << agg.count << ",\"totalNs\":" << agg.totalNs
+        << "}\n";
   }
 }
 

@@ -36,7 +36,8 @@
 //   * alloc-tracked spans carry an "alloc" {count, bytes} object
 //     (innermost-span attribution, see util/span_recorder.hpp);
 //   * per-name accumulated stages (the engine phase profiler) export as
-//     "aggregate" records after the spans.
+//     "aggregate" records {name, count, totalNs} after the spans; they
+//     carry no counters.
 #pragma once
 
 #include <iosfwd>

@@ -218,11 +218,6 @@ void WormholeNetwork::sampleWaitFor() {
 
 void WormholeNetwork::runPhasesProfiled() {
   using Clock = std::chrono::steady_clock;
-  if (profiler_->counters() != nullptr && profiler_->counters()->available())
-      [[unlikely]] {
-    runPhasesProfiledCounted();
-    return;
-  }
   const auto nanos = [](Clock::time_point a, Clock::time_point b) {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
@@ -240,44 +235,6 @@ void WormholeNetwork::runPhasesProfiled() {
   profiler_->add(obs::PhaseProfiler::kTraffic, nanos(t1, t2));
   profiler_->add(obs::PhaseProfiler::kAllocation, nanos(t2, t3));
   profiler_->add(obs::PhaseProfiler::kArbitration, nanos(t3, t4));
-  profiler_->endCycle();
-}
-
-void WormholeNetwork::runPhasesProfiledCounted() {
-  using Clock = std::chrono::steady_clock;
-  const auto nanos = [](Clock::time_point a, Clock::time_point b) {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
-  };
-  // One group read per phase boundary: each read is a single syscall for
-  // the whole group, so a phase's delta is an internally consistent
-  // snapshot.  The syscall cost lands in the NEXT phase's delta, which is
-  // acceptable for the per-phase IPC / miss-rate ratios this path feeds
-  // (bench_micro's counted scenarios) — absolute per-phase counts carry
-  // the boundary overhead either way.
-  const util::PerfCounterGroup& group = *profiler_->counters();
-  const auto t0 = Clock::now();
-  const util::PerfCounts c0 = group.read();
-  deliverArrivals();
-  const auto t1 = Clock::now();
-  const util::PerfCounts c1 = group.read();
-  generateTraffic();
-  const auto t2 = Clock::now();
-  const util::PerfCounts c2 = group.read();
-  allocateOutputs();
-  const auto t3 = Clock::now();
-  const util::PerfCounts c3 = group.read();
-  transferFlits();
-  const auto t4 = Clock::now();
-  const util::PerfCounts c4 = group.read();
-  profiler_->add(obs::PhaseProfiler::kFlowControl, nanos(t0, t1));
-  profiler_->add(obs::PhaseProfiler::kTraffic, nanos(t1, t2));
-  profiler_->add(obs::PhaseProfiler::kAllocation, nanos(t2, t3));
-  profiler_->add(obs::PhaseProfiler::kArbitration, nanos(t3, t4));
-  profiler_->addCounts(obs::PhaseProfiler::kFlowControl, c1.deltaSince(c0));
-  profiler_->addCounts(obs::PhaseProfiler::kTraffic, c2.deltaSince(c1));
-  profiler_->addCounts(obs::PhaseProfiler::kAllocation, c3.deltaSince(c2));
-  profiler_->addCounts(obs::PhaseProfiler::kArbitration, c4.deltaSince(c3));
   profiler_->endCycle();
 }
 

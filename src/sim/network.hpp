@@ -193,11 +193,6 @@ class WormholeNetwork {
   /// The four engine phases wrapped in steady_clock timers (profiler
   /// attached); the detached path calls them directly from step().
   void runPhasesProfiled();
-  /// Same, additionally reading the profiler's perf-counter group at every
-  /// phase boundary so each phase accumulates counter deltas (IPC, cache
-  /// misses) alongside its wall-clock total.  Taken when the attached
-  /// profiler carries an available counter group.
-  void runPhasesProfiledCounted();
 
   // --- allocation.cpp ---
   void allocateOutputs();

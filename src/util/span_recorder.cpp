@@ -174,25 +174,11 @@ void SpanRecorder::accumulate(std::uint32_t id, std::uint64_t ns) noexcept {
   slot.totalNs.fetch_add(ns, std::memory_order_relaxed);
 }
 
-void SpanRecorder::accumulateCounts(std::uint32_t id,
-                                    const PerfCounts& delta) noexcept {
-  if (id >= aggregates_.size() || delta.empty()) return;
-  AggregateSlot& slot = aggregates_[id];
-  for (std::size_t e = 0; e < kPerfEventCount; ++e) {
-    if ((delta.mask >> e) & 1u) {
-      slot.counters[e].fetch_add(delta.value[e], std::memory_order_relaxed);
-    }
-  }
-  slot.counterMask.fetch_or(delta.mask, std::memory_order_relaxed);
-}
-
 void SpanRecorder::resetAggregate(std::uint32_t id) noexcept {
   if (id >= aggregates_.size()) return;
   AggregateSlot& slot = aggregates_[id];
   slot.count.store(0, std::memory_order_relaxed);
   slot.totalNs.store(0, std::memory_order_relaxed);
-  for (auto& c : slot.counters) c.store(0, std::memory_order_relaxed);
-  slot.counterMask.store(0, std::memory_order_relaxed);
 }
 
 std::vector<SpanRecorder::Aggregate> SpanRecorder::aggregates() const {
@@ -204,12 +190,6 @@ std::vector<SpanRecorder::Aggregate> SpanRecorder::aggregates() const {
     agg.name = slot.name;
     agg.count = slot.count.load(std::memory_order_relaxed);
     agg.totalNs = slot.totalNs.load(std::memory_order_relaxed);
-    agg.counters.mask = slot.counterMask.load(std::memory_order_relaxed);
-    for (std::size_t e = 0; e < kPerfEventCount; ++e) {
-      if ((agg.counters.mask >> e) & 1u) {
-        agg.counters.value[e] = slot.counters[e].load(std::memory_order_relaxed);
-      }
-    }
     out.push_back(agg);
   }
   return out;
@@ -238,11 +218,8 @@ std::size_t SpanRecorder::size() const {
 void SpanRecorder::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   spans_.clear();
-  for (AggregateSlot& slot : aggregates_) {
-    slot.count.store(0, std::memory_order_relaxed);
-    slot.totalNs.store(0, std::memory_order_relaxed);
-    for (auto& c : slot.counters) c.store(0, std::memory_order_relaxed);
-    slot.counterMask.store(0, std::memory_order_relaxed);
+  for (std::uint32_t id = 0; id < aggregates_.size(); ++id) {
+    resetAggregate(id);
   }
 }
 

@@ -37,9 +37,9 @@
 //     thread-locals only — no locks, no allocation — so it is reentrancy-
 //     safe under the global-new override and costs one thread-local read
 //     when no tracked span is open.
-//   * registerAggregate()/accumulate(): per-name accumulated {ns, count,
-//     counter deltas} slots for per-cycle hot paths (the engine's phase
-//     profiler) where one span per occurrence would be unaffordable.
+//   * registerAggregate()/accumulate(): per-name accumulated {ns, count}
+//     slots for per-cycle hot paths (the engine's phase profiler) where
+//     one span per occurrence would be unaffordable.
 //     accumulate() is lock-free (relaxed atomics into stable slots).
 //
 // Timestamps are steady_clock nanoseconds relative to the recorder's
@@ -101,7 +101,6 @@ class SpanRecorder {
     const char* name = nullptr;
     std::uint64_t count = 0;    // occurrences accumulated
     std::uint64_t totalNs = 0;  // summed wall-clock nanoseconds
-    PerfCounts counters{};      // summed counter deltas (mask = union seen)
   };
 
   SpanRecorder() : epoch_(std::chrono::steady_clock::now()) {}
@@ -142,9 +141,6 @@ class SpanRecorder {
   /// from any thread (relaxed atomics — totals are read after the run).
   void accumulate(std::uint32_t id, std::uint64_t ns) noexcept;
 
-  /// Folds a counter delta into an aggregate slot (same discipline).
-  void accumulateCounts(std::uint32_t id, const PerfCounts& delta) noexcept;
-
   /// Zeroes one aggregate slot's totals (registration survives).
   void resetAggregate(std::uint32_t id) noexcept;
 
@@ -181,8 +177,6 @@ class SpanRecorder {
     const char* name = nullptr;
     std::atomic<std::uint64_t> count{0};
     std::atomic<std::uint64_t> totalNs{0};
-    std::array<std::atomic<std::uint64_t>, kPerfEventCount> counters{};
-    std::atomic<std::uint8_t> counterMask{0};
   };
 
   std::uint32_t threadIndexLocked();

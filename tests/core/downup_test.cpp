@@ -171,6 +171,26 @@ TEST(BuildDownUp, ReleaseOnlyAddsAdaptivity) {
   EXPECT_LE(sumWith, sumWithout);
 }
 
+// Repair leaves the unmasked dependency graph acyclic, so a repaired rule
+// covers every channel (and no bit past the last); the paper's rule as
+// written is never checked and covers none.
+TEST(BuildDownUp, RepairedRuleCoversEveryChannel) {
+  util::Rng rng(5);
+  const Topology topo = topo::randomIrregular(40, {.maxPorts = 4}, rng);
+  util::Rng treeRng(6);
+  const CoordinatedTree ct =
+      CoordinatedTree::build(topo, TreePolicy::kM1SmallestFirst, treeRng);
+  ASSERT_NE(topo.channelCount() % 64, 0u);
+  const TurnPermissions repaired = buildDownUpRule(topo, ct);
+  for (ChannelId c = 0; c < topo.channelCount(); ++c) {
+    EXPECT_TRUE(repaired.covers(c));
+  }
+  EXPECT_FALSE(repaired.covers(topo.channelCount()));
+  EXPECT_TRUE(buildDownUpRule(topo, ct, {.repairCycles = false})
+                  .cover()
+                  .empty());
+}
+
 TEST(AlgorithmDispatcher, BuildsEveryAlgorithm) {
   util::Rng rng(7);
   const Topology topo = topo::randomIrregular(24, {.maxPorts = 4}, rng);

@@ -144,12 +144,14 @@ TEST(EpochPublisherTest, ConcurrentReadersSurviveSwaps) {
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> failures{0};
   std::atomic<std::uint64_t> reads{0};
+  std::atomic<int> readersPinned{0};
 
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (int r = 0; r < kReaders; ++r) {
     Reader reader = pub.makeReader();
     readers.emplace_back([&, reader]() mutable {
+      bool first = true;
       while (!done.load(std::memory_order_acquire)) {
         PinnedSnapshot pin = pub.acquire(reader);
         // Odd epochs published the degraded table, even ones the healthy
@@ -160,10 +162,19 @@ TEST(EpochPublisherTest, ConcurrentReadersSurviveSwaps) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }
         reads.fetch_add(1, std::memory_order_relaxed);
+        if (first) {
+          first = false;
+          readersPinned.fetch_add(1, std::memory_order_release);
+        }
       }
     });
   }
 
+  // Swap only once every reader has pinned: on a loaded host the 60
+  // rebuilds can otherwise finish before any reader thread runs.
+  while (readersPinned.load(std::memory_order_acquire) < kReaders) {
+    std::this_thread::yield();
+  }
   for (std::uint64_t i = 1; i <= kSwaps; ++i) {
     fault::ReconfigOutcome next =
         reconf.rebuild((i % 2 == 1) ? degradedLinks : healthyLinks, nodesUp);

@@ -18,8 +18,9 @@
 //     path detects it and falls back to the full rebuild, so every outcome
 //     is ok() regardless of which path ran;
 //   * in the engine, reconfigIncremental = true shortens the frozen window
-//     (reconfigCyclesTotal) for incremental-served failures and leaves
-//     results verified and fully drained.
+//     (reconfigCyclesTotal) for incremental-served failures, serves their
+//     recoveries incrementally too, and leaves results verified and fully
+//     drained.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -598,6 +599,20 @@ TEST(IncrementalReconfigTest, EngineShortensReconfigWindow) {
   EXPECT_LT(incrStats.reconfigCyclesTotal, fullStats.reconfigCyclesTotal);
   EXPECT_LT(incrStats.reconfigDestinationsRebuilt,
             fullStats.reconfigDestinationsRebuilt);
+
+  // The link's recovery stays incremental too: buildDownUp's repaired rule
+  // covers every channel, and the incremental failure inherits that cover.
+  FaultSchedule flap = schedule;
+  flap.linkUp(6000, victim);
+  incrConfig.faultSchedule = &flap;
+  sim::WormholeNetwork net(routing.table(), traffic, 0.05, incrConfig);
+  net.run();
+  ASSERT_TRUE(net.drainRemaining(100000));
+  const sim::RunStats flapStats = net.collectStats();
+  EXPECT_FALSE(flapStats.deadlocked);
+  EXPECT_TRUE(flapStats.reconfigRoutingVerified);
+  EXPECT_EQ(flapStats.reconfigurations, 2u);
+  EXPECT_EQ(flapStats.reconfigIncrementalSwaps, 2u);
 }
 
 }  // namespace
