@@ -6,9 +6,8 @@
 // hotspot storm, bursty MMPP), the bench sweeps offered load across the
 // saturation point while a seeded link-failure schedule churns the
 // topology.  Every cell runs with an OracleGate attached: table builds,
-// reconfiguration merges, epoch publishes and the engine's two
-// mid-reconfiguration snapshots are all cross-validated against the
-// peeling oracle (src/verify/).  The bench FAILS (exit 1) on any oracle
+// epoch publishes and the engine's two mid-reconfiguration snapshots are
+// all cross-validated against the peeling oracle (src/verify/).  The bench FAILS (exit 1) on any oracle
 // violation, any undrained cell or any watchdog deadlock — it is the
 // standing adversarial-robustness assertion CI runs.
 //
@@ -117,8 +116,8 @@ int main(int argc, char** argv) {
       topo, tree::TreePolicy::kM1SmallestFirst, treeRng);
 
   // One gate for the whole surface: every table build in the process (the
-  // hook), every reconfiguration merge, every epoch publish and both
-  // mid-reconfiguration snapshots of every cell land in its ledger.
+  // hook), every epoch publish and both mid-reconfiguration snapshots of
+  // every cell land in its ledger.
   verify::OracleGate::Options gateOptions;
   gateOptions.dumpPathPrefix = *dumpPrefix;
   verify::OracleGate gate(gateOptions);
@@ -240,8 +239,6 @@ int main(int argc, char** argv) {
 
   std::cout << "\noracle: " << gate.audits() << " audits ("
             << gate.auditsAt("table_build") << " table_build, "
-            << gate.auditsAt("reconfig_full") << " reconfig_full, "
-            << gate.auditsAt("reconfig_incremental") << " reconfig_incr, "
             << gate.auditsAt("epoch_publish") << " epoch_publish, "
             << gate.auditsAt("mid_reconfig_quarantine") << " quarantine, "
             << gate.auditsAt("mid_reconfig_preswap") << " preswap), "

@@ -10,8 +10,8 @@
 // standing no-deadlock assertion for CI, alongside drain + routing-verify.
 //
 // The independent deadlock oracle (src/verify/) is ON by default: every
-// table build, reconfiguration merge, epoch publish and both
-// mid-reconfiguration snapshots are cross-validated, and the bench fails
+// table build, epoch publish and both mid-reconfiguration snapshots are
+// cross-validated, and the bench fails
 // on any violation (or if fault churn ran without the oracle ever seeing a
 // quarantine state).  --plant-violation audits a deliberately corrupted
 // rule instead, proving the gate fires: the run then exits nonzero and
@@ -222,9 +222,7 @@ int main(int argc, char** argv) {
   if (gateOptions.enabled) {
     std::cout << "\n\noracle: " << gate.audits() << " audits ("
               << gate.auditsAt("table_build") << " table_build, "
-              << gate.auditsAt("reconfig_full") << " reconfig_full, "
-              << gate.auditsAt("reconfig_incremental") << " reconfig_incr, "
-              << gate.auditsAt("epoch_publish") << " epoch_publish, "
+                  << gate.auditsAt("epoch_publish") << " epoch_publish, "
               << gate.auditsAt("mid_reconfig_quarantine") << " quarantine, "
               << gate.auditsAt("mid_reconfig_preswap") << " preswap), "
               << gate.violations() << " violation(s)";

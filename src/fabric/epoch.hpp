@@ -33,8 +33,8 @@
 // check the protocol.
 //
 // Single-writer: publish() / tryReclaim() are called from one thread at a
-// time (FabricManager's rebuild thread, or the simulator thread in driven
-// mode).  Readers are arbitrary threads, one Reader handle per thread.
+// time (the thread calling FabricManager::publishFromMasks).  Readers are
+// arbitrary threads, one Reader handle per thread.
 #pragma once
 
 #include <atomic>

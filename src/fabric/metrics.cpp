@@ -99,12 +99,8 @@ void FabricMetrics::writeJson(std::ostream& out) const {
       << ",\"retireDepthMax\":" << load(retireDepthMax)
       << ",\"readersRegistered\":" << load(readersRegistered)
       << ",\"readerPinnedMax\":" << load(readerPinnedMax)
-      << ",\"transitionsSeen\":" << load(transitionsSeen)
-      << ",\"windowsOpened\":" << load(windowsOpened)
-      << ",\"windowExtensions\":" << load(windowExtensions)
       << ",\"rebuildsRun\":" << load(rebuildsRun)
       << ",\"rebuildsIncremental\":" << load(rebuildsIncremental)
-      << ",\"flapsCancelled\":" << load(flapsCancelled)
       << ",\"dirtyDestinationsTotal\":" << load(dirtyDestinationsTotal)
       << ",\"dirtyDestinationsMax\":" << load(dirtyDestinationsMax) << "}";
 }

@@ -80,7 +80,7 @@ class LatencyHistogram {
   std::atomic<std::uint64_t> max_{0};
 };
 
-/// The fabric service's control-plane metrics.  All fields are readable
+/// The fabric manager's control-plane metrics.  All fields are readable
 /// from any thread at any time.
 struct FabricMetrics {
   // --- read path ---
@@ -95,13 +95,9 @@ struct FabricMetrics {
   std::atomic<std::uint64_t> readersRegistered{0};
   std::atomic<std::uint64_t> readerPinnedMax{0};  // pinned slots high-water
 
-  // --- coalescing ledger ---
-  std::atomic<std::uint64_t> transitionsSeen{0};
-  std::atomic<std::uint64_t> windowsOpened{0};
-  std::atomic<std::uint64_t> windowExtensions{0};
+  // --- rebuild ledger ---
   std::atomic<std::uint64_t> rebuildsRun{0};
   std::atomic<std::uint64_t> rebuildsIncremental{0};
-  std::atomic<std::uint64_t> flapsCancelled{0};
   std::atomic<std::uint64_t> dirtyDestinationsTotal{0};
   std::atomic<std::uint64_t> dirtyDestinationsMax{0};
 

@@ -20,13 +20,11 @@ void FaultController::refreshLink(topo::LinkId l) {
   batchChanged_ = true;
   if (!alive) newlyDeadLinks_.push_back(l);
   linkAlive_[l] = alive;
-  if (sink_ != nullptr) sink_->onLinkStateChanged(batchCycle_, l, alive != 0);
 }
 
 FaultController::Applied FaultController::applyEventsAt(std::uint64_t cycle) {
   newlyDeadLinks_.clear();
   newlyDeadNodes_.clear();
-  batchCycle_ = cycle;
   batchChanged_ = false;
   const auto events = schedule_->events();
   for (; cursor_ < events.size() && events[cursor_].cycle == cycle; ++cursor_) {
@@ -52,9 +50,6 @@ FaultController::Applied FaultController::applyEventsAt(std::uint64_t cycle) {
           ++deadNodeCount_;
           newlyDeadNodes_.push_back(event.id);
           batchChanged_ = true;
-          if (sink_ != nullptr) {
-            sink_->onNodeStateChanged(cycle, event.id, false);
-          }
           for (topo::ChannelId c : topo_->outputChannels(event.id)) {
             refreshLink(topo::Topology::linkOf(c));
           }
@@ -65,9 +60,6 @@ FaultController::Applied FaultController::applyEventsAt(std::uint64_t cycle) {
           nodeAlive_[event.id] = 1;
           --deadNodeCount_;
           batchChanged_ = true;
-          if (sink_ != nullptr) {
-            sink_->onNodeStateChanged(cycle, event.id, true);
-          }
           for (topo::ChannelId c : topo_->outputChannels(event.id)) {
             refreshLink(topo::Topology::linkOf(c));
           }

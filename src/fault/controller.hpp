@@ -11,15 +11,14 @@
 // The controller is pure bookkeeping: it never touches simulator state.
 // The engine asks applyEventsAt() which links/nodes just died (to drop the
 // flits occupying them), then opens a reconfiguration window and, when the
-// window elapses, rebuilds routing from the alive masks (Reconfigurator)
-// and hot-swaps the table.
+// window elapses, publishes a routing epoch rebuilt from the alive masks
+// (fabric::FabricManager::publishFromMasks) and hot-swaps the table.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "fault/event_sink.hpp"
 #include "fault/schedule.hpp"
 
 namespace downup::fault {
@@ -51,13 +50,6 @@ class FaultController {
   /// and reports the transitions.  The returned spans point into scratch
   /// buffers valid until the next call.
   Applied applyEventsAt(std::uint64_t cycle);
-
-  /// Registers an observer for effective alive-state transitions (cascades
-  /// and down-depth already folded); nullptr detaches.  Every transition
-  /// applyEventsAt produces — links both ways, nodes both ways — is posted
-  /// in application order.  The sink must outlive the controller or be
-  /// detached first.
-  void attachSink(FaultEventSink* sink) noexcept { sink_ = sink; }
 
   bool linkAlive(topo::LinkId l) const noexcept { return linkAlive_[l] != 0; }
   bool channelAlive(topo::ChannelId c) const noexcept {
@@ -108,8 +100,6 @@ class FaultController {
   bool windowOpen_ = false;
   std::uint64_t windowEnd_ = 0;
 
-  FaultEventSink* sink_ = nullptr;
-  std::uint64_t batchCycle_ = 0;  // cycle of the batch being applied
   bool batchChanged_ = false;
   std::vector<topo::LinkId> newlyDeadLinks_;   // scratch for Applied
   std::vector<topo::NodeId> newlyDeadNodes_;

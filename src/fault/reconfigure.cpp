@@ -8,7 +8,6 @@
 #include "routing/verify.hpp"
 #include "tree/coordinated_tree.hpp"
 #include "util/rng.hpp"
-#include "verify/gate.hpp"
 
 namespace downup::fault {
 
@@ -221,28 +220,7 @@ ReconfigOutcome Reconfigurator::rebuild(
     verifyEpoch(out, labels, alive, nodeAlive);
     if (out.deadlockFree) out.perms->setCover(alive);
   }
-  auditOutcome(out, linkAlive, nodeAlive, "reconfig_full");
   return out;
-}
-
-void Reconfigurator::auditOutcome(const ReconfigOutcome& out,
-                                  std::span<const std::uint8_t> linkAlive,
-                                  std::span<const std::uint8_t> nodeAlive,
-                                  const char* point) const {
-  if (oracle_ == nullptr) return;
-  const Topology& topo = *topo_;
-  std::vector<std::uint8_t> channelAlive(topo.channelCount(), 0);
-  for (LinkId l = 0; l < topo.linkCount(); ++l) {
-    const auto [a, b] = topo.linkEnds(l);
-    const std::uint8_t alive = linkAlive[l] && nodeAlive[a] && nodeAlive[b];
-    channelAlive[2 * l] = alive;
-    channelAlive[2 * l + 1] = alive;
-  }
-  verify::OracleInput input;
-  input.perms = out.perms.get();
-  input.table = out.table.get();
-  input.channelAlive = channelAlive;
-  oracle_->audit(input, {.point = point});
 }
 
 std::vector<std::uint64_t> Reconfigurator::channelAliveWords(
@@ -372,7 +350,6 @@ ReconfigOutcome Reconfigurator::rebuildIncremental(
   if (!out.componentsConnected || !out.deadlockFree) {
     return rebuild(linkAlive, nodeAlive);
   }
-  auditOutcome(out, linkAlive, nodeAlive, "reconfig_incremental");
   return out;
 }
 

@@ -24,10 +24,6 @@
 
 #include "routing/routing_table.hpp"
 
-namespace downup::verify {
-class OracleGate;
-}
-
 namespace downup::fault {
 
 /// One rebuilt routing epoch.  `table` indexes the ORIGINAL topology's
@@ -79,13 +75,6 @@ class Reconfigurator {
   /// shared with them unsynchronised, so set it before rebuilds start.
   void setSpans(util::SpanRecorder* spans) noexcept { spans_ = spans; }
 
-  /// Attaches the independent deadlock oracle (verify/gate.hpp): every
-  /// outcome — full rebuilds at "reconfig_full", incremental epochs
-  /// at "reconfig_incremental" — is audited against its alive-channel mask
-  /// before it is returned.  Same lifetime/synchronisation contract as
-  /// setSpans; nullptr (the default) is a never-taken branch per rebuild.
-  void setOracle(verify::OracleGate* oracle) noexcept { oracle_ = oracle; }
-
   /// Rebuilds routing over the subgraph restricted to nodes with
   /// nodeAlive[v] != 0 and links with linkAlive[l] != 0 (a dead endpoint
   /// implies a dead link regardless of linkAlive).  Deterministic: uses the
@@ -133,15 +122,9 @@ class Reconfigurator {
       std::span<const std::uint8_t> linkAlive,
       std::span<const std::uint8_t> nodeAlive) const;
 
-  void auditOutcome(const ReconfigOutcome& out,
-                    std::span<const std::uint8_t> linkAlive,
-                    std::span<const std::uint8_t> nodeAlive,
-                    const char* point) const;
-
   const topo::Topology* topo_;
   util::ThreadPool* pool_ = nullptr;
   util::SpanRecorder* spans_ = nullptr;
-  verify::OracleGate* oracle_ = nullptr;
 };
 
 }  // namespace downup::fault

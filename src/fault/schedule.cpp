@@ -23,8 +23,7 @@ namespace {
 
 /// Same-cycle ordering class: downs (0) apply before ups (1).  A link that
 /// both fails and recovers at one cycle therefore deterministically flaps —
-/// down, then up, net alive — instead of depending on insertion order,
-/// which is what a coalescing consumer must see to cancel the pair.
+/// down, then up, net alive — instead of depending on insertion order.
 inline int kindRank(FaultKind kind) noexcept {
   return kind == FaultKind::kLinkUp || kind == FaultKind::kNodeUp ? 1 : 0;
 }

@@ -9,12 +9,8 @@ namespace downup::obs {
 
 const char* toString(FabricEventKind kind) noexcept {
   switch (kind) {
-    case FabricEventKind::kTransitionPosted: return "transition_posted";
-    case FabricEventKind::kWindowOpened: return "window_opened";
-    case FabricEventKind::kWindowExtended: return "window_extended";
     case FabricEventKind::kRebuildStarted: return "rebuild_started";
     case FabricEventKind::kRebuildFinished: return "rebuild_finished";
-    case FabricEventKind::kRebuildSkipped: return "rebuild_skipped";
     case FabricEventKind::kPublish: return "publish";
     case FabricEventKind::kReclaim: return "reclaim";
     case FabricEventKind::kAnomaly: return "anomaly";

@@ -1,13 +1,12 @@
 // Always-on flight recorder for control-plane events.
 //
-// A bounded lock-free ring of the most recent fabric events (fault
-// transitions posted, coalescing windows, rebuilds, publishes, reclaims),
-// recorded unconditionally — unlike spans and metrics, the recorder is
-// cheap enough (a ticket fetch_add plus a handful of relaxed atomic
-// stores, no allocation, no locks) to stay on in production, so a
-// post-mortem after an anomaly (an unverified routing epoch, a wait-for
-// hard cycle) can dump the event sequence that led up to it without
-// re-running the scenario.
+// A bounded lock-free ring of the most recent fabric events (rebuilds,
+// publishes, reclaims, anomalies), recorded unconditionally — unlike spans
+// and metrics, the recorder is cheap enough (a ticket fetch_add plus a
+// handful of relaxed atomic stores, no allocation, no locks) to stay on in
+// production, so a post-mortem after an anomaly (an unverified routing
+// epoch, a wait-for hard cycle) can dump the event sequence that led up to
+// it without re-running the scenario.
 //
 // Concurrency: any thread may record(); writers claim a slot with one
 // fetch_add ticket and publish it with a per-slot stamp (seqlock flavor).
@@ -19,8 +18,8 @@
 // the stamp check — so the protocol is fully visible to ThreadSanitizer.
 //
 // Timestamps are steady_clock nanoseconds since the recorder's
-// construction; `cycle` carries the fault-schedule cycle where the event
-// has one (transitions), 0 otherwise.
+// construction; `cycle` carries the simulator cycle where the event has one
+// (the anomalies the engine records), 0 otherwise.
 #pragma once
 
 #include <atomic>
@@ -34,15 +33,11 @@
 namespace downup::obs {
 
 enum class FabricEventKind : std::uint8_t {
-  kTransitionPosted,  // a = entity (0 link, 1 node), b = id, c = alive
-  kWindowOpened,      // a = queue depth at open
-  kWindowExtended,    // a = transitions that arrived during the wait
-  kRebuildStarted,    // a = incremental requested, b = batch size
-  kRebuildFinished,   // a = epoch, b = rebuilt destinations, c = ok
-  kRebuildSkipped,    // a = batch size (flap cancelled out)
-  kPublish,           // a = epoch, b = retired-list depth after publish
-  kReclaim,           // a = snapshots freed, b = retired remaining
-  kAnomaly,           // a = AnomalyCode
+  kRebuildStarted,   // a = incremental requested
+  kRebuildFinished,  // a = epoch, b = rebuilt destinations, c = ok
+  kPublish,          // a = epoch, b = retired-list depth after publish
+  kReclaim,          // a = snapshots freed, b = retired remaining
+  kAnomaly,          // a = AnomalyCode
 };
 
 const char* toString(FabricEventKind kind) noexcept;
@@ -60,7 +55,7 @@ struct FabricEvent {
   std::uint64_t seq = 0;     // global record order (monotone)
   std::uint64_t timeNs = 0;  // since recorder construction
   std::uint64_t cycle = 0;
-  FabricEventKind kind = FabricEventKind::kTransitionPosted;
+  FabricEventKind kind = FabricEventKind::kRebuildStarted;
   std::uint64_t a = 0;
   std::uint64_t b = 0;
   std::uint64_t c = 0;

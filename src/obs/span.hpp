@@ -6,9 +6,7 @@
 // construction pipeline via core::DownUpOptions / fault::Reconfigurator)
 // records the full rebuild pipeline as nested spans:
 //
-//   rebuild                     one service-loop decision or driven publish
-//   ├─ coalesce_wait            the burst-coalescing sleep (service mode)
-//   ├─ event_dequeue            queue drain + fold into desired masks
+//   rebuild                     one FabricManager::publishFromMasks call
 //   ├─ dirty_set                incremental applicability (cover, tree rule)
 //   ├─ partition / subtopo      alive-component labelling + compaction
 //   ├─ tree                     coordinated-tree construction per component

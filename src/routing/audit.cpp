@@ -24,6 +24,11 @@ void setTableAuditHook(TableAuditHook hook, void* ctx) noexcept {
   }
 }
 
+void clearTableAuditHook(const void* ctx) noexcept {
+  if (g_ctx.load(std::memory_order_acquire) != ctx) return;
+  setTableAuditHook(nullptr, nullptr);
+}
+
 void invokeTableAuditHook(const TurnPermissions& perms,
                           const RoutingTable& table,
                           std::span<const std::uint64_t> channelAlive) noexcept {

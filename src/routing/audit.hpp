@@ -26,6 +26,10 @@ using TableAuditHook = void (*)(void* ctx, const TurnPermissions& perms,
 /// Installs (or with nullptr clears) the global hook.
 void setTableAuditHook(TableAuditHook hook, void* ctx) noexcept;
 
+/// Clears the global hook only while `ctx` is its installed context, so an
+/// owner never removes a hook someone else installed.
+void clearTableAuditHook(const void* ctx) noexcept;
+
 /// Invoked by RoutingTable::build / rebuildDead; no-op when unset.
 void invokeTableAuditHook(const TurnPermissions& perms,
                           const RoutingTable& table,

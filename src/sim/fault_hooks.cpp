@@ -10,7 +10,7 @@
 // rebuilt on the degraded topology (fault/reconfigure.hpp — per-component
 // coordinated trees, DOWN/UP turn rule, repair + release passes, verified
 // deadlock-free) and the table is hot-swapped through the fabric manager's
-// epoch publish (fabric/manager.hpp, driven mode): the engine pins the new
+// epoch publish (fabric/manager.hpp): the engine pins the new
 // epoch and the superseded table is reclaimed once unpinned.
 //
 // Why this cannot deadlock or hang: after the swap the network holds only
@@ -205,8 +205,8 @@ void WormholeNetwork::completeReconfiguration() {
     auditRoutingState("mid_reconfig_preswap");
   }
 
-  // The fabric rebuilds from the controller's authoritative masks (driven
-  // mode always publishes) and this thread re-pins the new epoch; the old
+  // The fabric rebuilds from the controller's alive masks (every publish
+  // goes live) and this thread re-pins the new epoch; the old
   // pin is superseded, so the fabric reclaims the retired table once no
   // reader announces it.  Incremental rebuilds run against the epoch being
   // replaced — identical Reconfigurator inputs to the historical in-place

@@ -77,8 +77,8 @@ WormholeNetwork::WormholeNetwork(const RoutingTable& table,
   if (config_.faultSchedule != nullptr) {
     faults_ = std::make_unique<fault::FaultController>(*topo_,
                                                        *config_.faultSchedule);
-    // Driven mode: this thread is the fabric's single writer; the engine
-    // decides when each epoch swaps (window end), so no service thread.
+    // This thread is the fabric's single writer; the engine decides when
+    // each epoch swaps (window end) and passes the controller's masks.
     fabric::FabricManager::Options fabricOptions;
     if (config_.observer != nullptr) {
       fabricOptions.spans = config_.observer->controlPlaneSpans();
@@ -87,7 +87,6 @@ WormholeNetwork::WormholeNetwork(const RoutingTable& table,
     fabric_ = std::make_unique<fabric::FabricManager>(*topo_, table,
                                                       fabricOptions);
     fabricReader_ = fabric_->makeReader();
-    faults_->attachSink(fabric_.get());
   }
 }
 

@@ -369,8 +369,8 @@ class WormholeNetwork {
   // branch checks and draw no extra RNG — an attached empty schedule is
   // therefore bit-for-bit inert.
   std::unique_ptr<fault::FaultController> faults_;
-  // Routing epochs live in the fabric manager (driven mode: this thread is
-  // the single writer).  table_ aliases the pinned snapshot's table after
+  // Routing epochs live in the fabric manager (this thread is its single
+  // writer).  table_ aliases the pinned snapshot's table after
   // the first swap; the pin keeps the epoch alive until the next swap
   // supersedes it.
   std::unique_ptr<fabric::FabricManager> fabric_;

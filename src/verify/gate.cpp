@@ -43,7 +43,7 @@ void buildHookTrampoline(void* ctx, const TurnPermissions& perms,
 
 }  // namespace
 
-OracleGate::~OracleGate() { uninstallBuildHook(); }
+OracleGate::~OracleGate() { routing::clearTableAuditHook(this); }
 
 void OracleGate::installBuildHook() {
   routing::setTableAuditHook(&buildHookTrampoline, this);

@@ -1,15 +1,14 @@
 // OracleGate: the opt-in enforcement wrapper around runOracle().
 //
 // One gate instance is shared by every audit point in a process — the
-// RoutingTable::build hook, the Reconfigurator's merge results, every
-// FabricManager epoch publish and the simulator's mid-reconfiguration
-// snapshots.  The gate serialises audits behind a mutex (table builds can
+// RoutingTable::build hook, every FabricManager epoch publish and the
+// simulator's mid-reconfiguration snapshots.  The gate serialises audits behind a mutex (table builds can
 // run concurrently inside sweeps), counts verdicts per audit point, and on
 // a violation dumps a replayable oracle_case/1 JSONL witness
 // (verify/replay.hpp).  It never mutates the audited structures, draws no
 // RNG and never blocks a publish: enforcement is the caller's job (benches
 // exit nonzero, the fabric records a kOracleViolation anomaly), so
-// driven-mode determinism is preserved even under a failing gate.
+// simulation determinism is preserved even under a failing gate.
 //
 // `plantViolation` is the built-in fault injection: instead of the real
 // rule the gate audits an unrestricted copy (every turn allowed, blocks
@@ -66,7 +65,8 @@ class OracleGate {
 
   /// Installs this gate as the global RoutingTable::build audit hook
   /// (routing/audit.hpp); every table construction in the process is then
-  /// audited at point "table_build".  The destructor uninstalls.
+  /// audited at point "table_build".  The destructor uninstalls the hook
+  /// while it is still this gate's; other gates' destructors leave it.
   void installBuildHook();
   static void uninstallBuildHook();
 

@@ -85,7 +85,7 @@ TEST(FabricAllocTest, FlightRecorderRecordNeverAllocates) {
   g_allocations.store(0, std::memory_order_relaxed);
   g_countAllocations.store(true, std::memory_order_relaxed);
   for (std::uint64_t i = 0; i < 1000; ++i) {
-    rec.record(obs::FabricEventKind::kTransitionPosted, i, 0, i & 7, 1);
+    rec.record(obs::FabricEventKind::kRebuildFinished, 0, i, i & 7, 1);
   }
   g_countAllocations.store(false, std::memory_order_relaxed);
 

@@ -1,20 +1,20 @@
-// FabricManager: driven-mode publishes match the Reconfigurator reference
-// bit for bit, service mode coalesces fault bursts (flap cancel-out, union
-// dirty set), the FaultController sink feeds effective transitions, and an
-// attached OracleGate audits every epoch publish from both writer modes —
+// FabricManager: publishes from alive masks match the Reconfigurator
+// reference bit for bit (including the masks a FaultController leaves after
+// a same-cycle flap and a node death), every call publishes exactly one
+// epoch with its flight-recorder trail, retired epochs wait for their
+// readers, and an attached OracleGate audits every epoch publish —
 // recording a kOracleViolation anomaly without ever blocking the publish.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "fabric/manager.hpp"
 #include "fault/controller.hpp"
 #include "fault/schedule.hpp"
 #include "obs/flight_recorder.hpp"
+#include "routing/audit.hpp"
 #include "topology/generate.hpp"
 #include "util/rng.hpp"
 #include "verify/gate.hpp"
@@ -29,15 +29,6 @@ topo::Topology makeSan(topo::NodeId switches, std::uint64_t seed) {
 
 std::vector<std::uint8_t> allAlive(std::size_t count) {
   return std::vector<std::uint8_t>(count, 1);
-}
-
-/// Spins until pred() holds or ~2s elapse; returns pred()'s final value.
-template <class Pred>
-bool waitUntil(Pred pred) {
-  for (int i = 0; i < 2000 && !pred(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return pred();
 }
 
 struct Fixture {
@@ -92,82 +83,25 @@ TEST(FabricManagerTest, DrivenIncrementalMatchesFullRebuild) {
   EXPECT_LE(inc.incrementalDirtyFraction(linksUp, nodesUp), 1.0);
 }
 
-TEST(FabricManagerTest, ServiceCancelsFlapWithoutRebuilding) {
+TEST(FabricManagerTest, PublishingControllerMasksMatchesReference) {
   Fixture fx;
-  FabricManager fm(fx.topo, *fx.baseline.table);
-  // DOWN then UP of the same link land in one coalescing batch: desired
-  // masks equal applied masks, so the whole burst must cancel out.
-  fm.onLinkStateChanged(100, 2, false);
-  fm.onLinkStateChanged(100, 2, true);
-  fm.startService();
-  ASSERT_TRUE(waitUntil([&] { return fm.rebuildsSkipped() >= 1; }));
-  fm.stopService();
-  EXPECT_EQ(fm.rebuilds(), 0u);
-  EXPECT_EQ(fm.currentEpoch(), 0u);
-  EXPECT_EQ(fm.transitionsAbsorbed(), 2u);
-}
-
-TEST(FabricManagerTest, ServiceCoalescesBurstIntoOneRebuild) {
-  Fixture fx;
-  std::vector<std::uint8_t> linksUp = allAlive(fx.topo.linkCount());
-  const std::vector<std::uint8_t> nodesUp = allAlive(fx.topo.nodeCount());
-  linksUp[1] = 0;
-  linksUp[4] = 0;
-  const std::uint64_t referenceFp =
-      fx.reconf.rebuild(linksUp, nodesUp).table->fingerprint();
-
-  FabricManager fm(fx.topo, *fx.baseline.table);
-  fm.onLinkStateChanged(100, 1, false);
-  fm.onLinkStateChanged(100, 4, false);
-  fm.startService();
-  ASSERT_TRUE(waitUntil([&] { return fm.rebuilds() >= 1; }));
-  fm.stopService();
-
-  // Two failures, one rebuild over the union dirty set.
-  EXPECT_EQ(fm.rebuilds(), 1u);
-  EXPECT_EQ(fm.largestBatch(), 2u);
-  EXPECT_TRUE(fm.allPublishedOk());
-  Reader reader = fm.makeReader();
-  PinnedSnapshot pin = fm.acquire(reader);
-  EXPECT_EQ(pin.epoch(), 1u);
-  EXPECT_EQ(pin.table().fingerprint(), referenceFp);
-}
-
-TEST(FabricManagerTest, StopServiceFlushesPendingTransitions) {
-  Fixture fx;
-  FabricManager fm(fx.topo, *fx.baseline.table);
-  fm.startService();
-  ASSERT_TRUE(fm.serviceRunning());
-  fm.onLinkStateChanged(50, 5, false);
-  fm.stopService();
-  EXPECT_FALSE(fm.serviceRunning());
-  // The shutdown drain still rebuilt for the pending failure.
-  EXPECT_EQ(fm.rebuilds(), 1u);
-  EXPECT_EQ(fm.currentEpoch(), 1u);
-}
-
-TEST(FabricManagerTest, ControllerSinkPostsEffectiveTransitions) {
-  Fixture fx;
-  // A same-cycle flap reaches the sink as DOWN then UP (the schedule's
-  // down-before-up ordering), which the service then cancels out; a node
-  // death cascades to its incident links as link transitions.
+  // A same-cycle flap nets alive (the schedule orders down before up); a
+  // node death cascades to its incident links.  Publishing the masks the
+  // controller is left with must equal a fresh rebuild on them.
   fault::FaultSchedule schedule;
   schedule.linkUp(100, 2).linkDown(100, 2);  // reordered to down-then-up
   schedule.nodeDown(200, 3);
   fault::FaultController controller(fx.topo, schedule);
-
   FabricManager fm(fx.topo, *fx.baseline.table);
-  controller.attachSink(&fm);
 
-  controller.applyEventsAt(100);  // flap: net alive
+  controller.applyEventsAt(100);
   EXPECT_TRUE(controller.linkAlive(2));
-  fm.startService();
-  ASSERT_TRUE(waitUntil([&] { return fm.rebuildsSkipped() >= 1; }));
-  EXPECT_EQ(fm.rebuilds(), 0u);
-
-  controller.applyEventsAt(200);  // node death: rebuild required
-  ASSERT_TRUE(waitUntil([&] { return fm.rebuilds() >= 1; }));
-  fm.stopService();
+  controller.applyEventsAt(200);
+  EXPECT_FALSE(controller.nodeAlive(3));
+  const PublishResult result = fm.publishFromMasks(
+      controller.linkAliveMask(), controller.nodeAliveMask(),
+      /*incremental=*/true);
+  EXPECT_TRUE(result.published);
   EXPECT_EQ(fm.rebuilds(), 1u);
 
   const std::uint64_t referenceFp =
@@ -176,6 +110,210 @@ TEST(FabricManagerTest, ControllerSinkPostsEffectiveTransitions) {
           .table->fingerprint();
   Reader reader = fm.makeReader();
   EXPECT_EQ(fm.acquire(reader).table().fingerprint(), referenceFp);
+}
+
+TEST(FabricManagerTest, RepublishingUnchangedMasksStillAdvancesTheEpoch) {
+  // There is no transition log to net a flap against: the masks are the
+  // whole input, so publishing the same masks again rebuilds and publishes
+  // the next epoch with the same table.
+  Fixture fx;
+  std::vector<std::uint8_t> linksUp = allAlive(fx.topo.linkCount());
+  const std::vector<std::uint8_t> nodesUp = allAlive(fx.topo.nodeCount());
+  linksUp[2] = 0;
+
+  FabricManager fm(fx.topo, *fx.baseline.table);
+  Reader reader = fm.makeReader();
+  const PublishResult first =
+      fm.publishFromMasks(linksUp, nodesUp, /*incremental=*/false);
+  const std::uint64_t firstFp = fm.acquire(reader).table().fingerprint();
+  const PublishResult second =
+      fm.publishFromMasks(linksUp, nodesUp, /*incremental=*/true);
+
+  EXPECT_TRUE(first.published);
+  EXPECT_TRUE(second.published);
+  EXPECT_EQ(first.epoch, 1u);
+  EXPECT_EQ(second.epoch, 2u);
+  EXPECT_EQ(fm.currentEpoch(), 2u);
+  EXPECT_EQ(fm.rebuilds(), 2u);
+  EXPECT_EQ(fm.acquire(reader).table().fingerprint(), firstFp);
+}
+
+TEST(FabricManagerTest, PublishResultMirrorsTheReconfiguratorOutcome) {
+  Fixture fx;
+  const std::vector<std::uint8_t> linksUp = allAlive(fx.topo.linkCount());
+  std::vector<std::uint8_t> nodesUp = allAlive(fx.topo.nodeCount());
+  nodesUp[3] = 0;
+  const fault::ReconfigOutcome reference = fx.reconf.rebuild(linksUp, nodesUp);
+
+  FabricManager fm(fx.topo, *fx.baseline.table);
+  const PublishResult result =
+      fm.publishFromMasks(linksUp, nodesUp, /*incremental=*/false);
+  EXPECT_EQ(result.incremental, reference.incremental);
+  EXPECT_EQ(result.rebuiltDestinations, reference.rebuiltDestinations);
+  EXPECT_EQ(result.unreachablePairs, reference.unreachablePairs);
+  EXPECT_EQ(result.components, reference.components);
+  EXPECT_EQ(result.ok, reference.ok());
+  EXPECT_EQ(fm.rebuildsIncremental(), 0u);
+}
+
+TEST(FabricManagerTest, IncrementalChainMatchesFullRebuildAtEveryStep) {
+  // Two failures accumulate on the incremental path; the recovery revives
+  // a channel, which the incremental path declines, so it rebuilds in full.
+  Fixture fx;
+  std::vector<std::uint8_t> linksUp = allAlive(fx.topo.linkCount());
+  const std::vector<std::uint8_t> nodesUp = allAlive(fx.topo.nodeCount());
+
+  FabricManager inc(fx.topo, *fx.baseline.table);
+  FabricManager full(fx.topo, *fx.baseline.table);
+  Reader incReader = inc.makeReader();
+  Reader fullReader = full.makeReader();
+  const auto step = [&](topo::LinkId link, std::uint8_t alive) {
+    linksUp[link] = alive;
+    const PublishResult result =
+        inc.publishFromMasks(linksUp, nodesUp, /*incremental=*/true);
+    full.publishFromMasks(linksUp, nodesUp, /*incremental=*/false);
+    EXPECT_EQ(inc.acquire(incReader).table().fingerprint(),
+              full.acquire(fullReader).table().fingerprint())
+        << "link " << link << " -> " << int{alive};
+    return result;
+  };
+  step(2, 0);
+  step(5, 0);
+  const PublishResult recovery = step(2, 1);
+
+  EXPECT_FALSE(recovery.incremental);
+  EXPECT_EQ(inc.rebuilds(), 3u);
+  EXPECT_LE(inc.rebuildsIncremental(), 2u);
+  EXPECT_EQ(full.rebuildsIncremental(), 0u);
+  EXPECT_EQ(inc.currentEpoch(), full.currentEpoch());
+}
+
+TEST(FabricManagerTest, PinnedEpochStaysRetiredUntilItsReaderReleases) {
+  Fixture fx;
+  std::vector<std::uint8_t> linksUp = allAlive(fx.topo.linkCount());
+  const std::vector<std::uint8_t> nodesUp = allAlive(fx.topo.nodeCount());
+  linksUp[4] = 0;
+
+  FabricManager fm(fx.topo, *fx.baseline.table);
+  Reader reader = fm.makeReader();
+  PinnedSnapshot pin = fm.acquire(reader);
+  ASSERT_EQ(pin.epoch(), 0u);
+  fm.publishFromMasks(linksUp, nodesUp, /*incremental=*/true);
+
+  // The publish path's reclaim could not free the pinned epoch.
+  EXPECT_EQ(fm.retiredCount(), 1u);
+  EXPECT_EQ(fm.reclaimedCount(), 0u);
+  EXPECT_EQ(pin.epoch(), 0u);
+  EXPECT_EQ(fm.tryReclaim(), 0u);
+
+  pin.release();
+  EXPECT_EQ(fm.tryReclaim(), 1u);
+  EXPECT_EQ(fm.retiredCount(), 0u);
+  EXPECT_EQ(fm.reclaimedCount(), 1u);
+  EXPECT_EQ(fm.acquire(reader).epoch(), 1u);
+}
+
+TEST(FabricManagerTest, FlightRecorderLogsEachPublishInOrder) {
+  Fixture fx;
+  std::vector<std::uint8_t> linksUp = allAlive(fx.topo.linkCount());
+  const std::vector<std::uint8_t> nodesUp = allAlive(fx.topo.nodeCount());
+  FabricManager fm(fx.topo, *fx.baseline.table);
+  linksUp[2] = 0;
+  fm.publishFromMasks(linksUp, nodesUp, /*incremental=*/false);
+  linksUp[2] = 1;
+  fm.publishFromMasks(linksUp, nodesUp, /*incremental=*/true);
+
+  std::vector<obs::FabricEvent> events;
+  fm.flightRecorder().dump(events);
+  using Kind = obs::FabricEventKind;
+  const std::vector<Kind> expected = {
+      Kind::kRebuildStarted, Kind::kRebuildFinished, Kind::kPublish,
+      Kind::kReclaim,        Kind::kRebuildStarted,  Kind::kRebuildFinished,
+      Kind::kPublish,        Kind::kReclaim};
+  ASSERT_EQ(events.size(), expected.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].kind, expected[i]) << "event " << i;
+    if (i > 0) {
+      EXPECT_GT(events[i].seq, events[i - 1].seq);
+    }
+  }
+  for (std::size_t p = 0; p < 2; ++p) {
+    const std::uint64_t epoch = p + 1;
+    EXPECT_EQ(events[4 * p].a, p) << "incremental requested";
+    EXPECT_EQ(events[4 * p + 1].a, epoch);
+    EXPECT_EQ(events[4 * p + 1].c, 1u) << "verified";
+    EXPECT_EQ(events[4 * p + 2].a, epoch);
+    // No reader holds a pin, so each publish frees the epoch it replaced.
+    EXPECT_EQ(events[4 * p + 3].a, 1u);
+    EXPECT_EQ(events[4 * p + 3].b, 0u);
+  }
+}
+
+/// Records rebuildActive() each time a table construction fires the
+/// global audit hook, i.e. from inside the manager's rebuild.
+struct RebuildActiveProbe {
+  const FabricManager* fm = nullptr;
+  std::size_t builds = 0;
+  std::size_t activeDuringBuild = 0;
+
+  static void hook(void* ctx, const routing::TurnPermissions&,
+                   const routing::RoutingTable&,
+                   std::span<const std::uint64_t>) {
+    auto* probe = static_cast<RebuildActiveProbe*>(ctx);
+    ++probe->builds;
+    if (probe->fm->rebuildActive()) ++probe->activeDuringBuild;
+  }
+};
+
+TEST(FabricManagerTest, RebuildActiveIsRaisedOnlyWhileTheRebuildRuns) {
+  Fixture fx;
+  std::vector<std::uint8_t> linksUp = allAlive(fx.topo.linkCount());
+  const std::vector<std::uint8_t> nodesUp = allAlive(fx.topo.nodeCount());
+  FabricManager fm(fx.topo, *fx.baseline.table);
+  RebuildActiveProbe probe;
+  probe.fm = &fm;
+  routing::setTableAuditHook(&RebuildActiveProbe::hook, &probe);
+
+  EXPECT_FALSE(fm.rebuildActive());
+  linksUp[2] = 0;
+  fm.publishFromMasks(linksUp, nodesUp, /*incremental=*/false);
+  EXPECT_FALSE(fm.rebuildActive());
+  linksUp[2] = 1;
+  fm.publishFromMasks(linksUp, nodesUp, /*incremental=*/true);
+  EXPECT_FALSE(fm.rebuildActive());
+  routing::clearTableAuditHook(&probe);
+
+  EXPECT_GE(probe.builds, 2u);
+  EXPECT_EQ(probe.activeDuringBuild, probe.builds);
+}
+
+TEST(FabricManagerTest, IncrementalDirtyFractionTracksTheCurrentEpoch) {
+  Fixture fx;
+  std::vector<std::uint8_t> linksUp = allAlive(fx.topo.linkCount());
+  const std::vector<std::uint8_t> nodesUp = allAlive(fx.topo.nodeCount());
+  FabricManager fm(fx.topo, *fx.baseline.table);
+  Reader reader = fm.makeReader();
+
+  linksUp[2] = 0;
+  EXPECT_DOUBLE_EQ(
+      fm.incrementalDirtyFraction(linksUp, nodesUp),
+      fx.reconf.incrementalDirtyFraction(*fx.baseline.table, linksUp, nodesUp));
+  fm.publishFromMasks(linksUp, nodesUp, /*incremental=*/true);
+
+  // Against epoch 1 a second failure is measured from the published table...
+  linksUp[5] = 0;
+  {
+    PinnedSnapshot pin = fm.acquire(reader);
+    const double fraction = fm.incrementalDirtyFraction(linksUp, nodesUp);
+    EXPECT_DOUBLE_EQ(fraction, fx.reconf.incrementalDirtyFraction(
+                                   pin.table(), linksUp, nodesUp));
+    EXPECT_GT(fraction, 0.0);
+    EXPECT_LE(fraction, 1.0);
+  }
+  // ...and reviving link 2 is a revival the incremental path declines.
+  linksUp[5] = 1;
+  linksUp[2] = 1;
+  EXPECT_DOUBLE_EQ(fm.incrementalDirtyFraction(linksUp, nodesUp), 1.0);
 }
 
 /// kOracleViolation anomalies currently in the flight-recorder ring.
@@ -204,8 +342,7 @@ TEST(FabricManagerTest, CleanOracleAuditsEveryDrivenPublishSilently) {
       fm.publishFromMasks(linksUp, nodesUp, /*incremental=*/false);
   EXPECT_TRUE(result.published);
 
-  // The reconfiguration merge and the epoch publish were both audited...
-  EXPECT_GE(gate.auditsAt("reconfig_full"), 1u);
+  // The epoch publish was audited...
   EXPECT_GE(gate.auditsAt("epoch_publish"), 1u);
   // ...and a healthy rule leaves no trace anywhere.
   EXPECT_EQ(gate.violations(), 0u);
@@ -229,7 +366,7 @@ TEST(FabricManagerTest, PlantedViolationRecordsAnomalyButNeverBlocks) {
   const PublishResult result =
       fm.publishFromMasks(linksUp, nodesUp, /*incremental=*/false);
 
-  // Enforcement is observational: the epoch still went live (driven-mode
+  // Enforcement is observational: the epoch still went live (simulation
   // determinism), but the violation is counted and flight-recorded.
   EXPECT_TRUE(result.published);
   EXPECT_EQ(fm.currentEpoch(), 1u);
@@ -238,26 +375,6 @@ TEST(FabricManagerTest, PlantedViolationRecordsAnomalyButNeverBlocks) {
   EXPECT_GE(oracleAnomalies(fm.flightRecorder()), 1u);
   // The oracle verdict must not be conflated with routing verification.
   EXPECT_TRUE(fm.allPublishedOk());
-}
-
-TEST(FabricManagerTest, ServiceModeRebuildsAuditThroughTheSameGate) {
-  Fixture fx;
-  verify::OracleGate::Options gateOptions;
-  gateOptions.plantViolation = true;
-  verify::OracleGate gate(gateOptions);
-  FabricManager::Options options;
-  options.oracle = &gate;
-  FabricManager fm(fx.topo, *fx.baseline.table, options);
-
-  fm.onLinkStateChanged(100, 3, false);
-  fm.startService();
-  ASSERT_TRUE(waitUntil([&] { return fm.rebuilds() >= 1; }));
-  fm.stopService();
-
-  EXPECT_GE(gate.auditsAt("epoch_publish"), 1u);
-  EXPECT_EQ(fm.oracleViolations(), 1u);
-  EXPECT_GE(oracleAnomalies(fm.flightRecorder()), 1u);
-  EXPECT_EQ(fm.currentEpoch(), 1u);  // publish still happened
 }
 
 }  // namespace

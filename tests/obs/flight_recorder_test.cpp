@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -15,10 +16,10 @@ namespace {
 
 TEST(FlightRecorderTest, RecordsInSequenceWithPayload) {
   FlightRecorder rec(16);
-  rec.record(FabricEventKind::kTransitionPosted, /*cycle=*/100, /*a=*/0,
+  rec.record(FabricEventKind::kAnomaly, /*cycle=*/100,
+             static_cast<std::uint64_t>(AnomalyCode::kWaitForHardCycle),
              /*b=*/7, /*c=*/1);
-  rec.record(FabricEventKind::kRebuildStarted, 0, /*incremental=*/1,
-             /*batch=*/3);
+  rec.record(FabricEventKind::kRebuildStarted, 0, /*incremental=*/1);
   rec.record(FabricEventKind::kRebuildFinished, 0, /*epoch=*/2,
              /*rebuilt=*/24, /*ok=*/1);
   rec.record(FabricEventKind::kPublish, 0, /*epoch=*/2, /*retired=*/1);
@@ -26,11 +27,14 @@ TEST(FlightRecorderTest, RecordsInSequenceWithPayload) {
   std::vector<FabricEvent> events;
   ASSERT_EQ(rec.dump(events), 4u);
   EXPECT_EQ(events[0].seq, 0u);
-  EXPECT_EQ(events[0].kind, FabricEventKind::kTransitionPosted);
+  EXPECT_EQ(events[0].kind, FabricEventKind::kAnomaly);
   EXPECT_EQ(events[0].cycle, 100u);
+  EXPECT_EQ(events[0].a,
+            static_cast<std::uint64_t>(AnomalyCode::kWaitForHardCycle));
   EXPECT_EQ(events[0].b, 7u);
   EXPECT_EQ(events[0].c, 1u);
   EXPECT_EQ(events[1].kind, FabricEventKind::kRebuildStarted);
+  EXPECT_EQ(events[1].a, 1u);
   EXPECT_EQ(events[2].kind, FabricEventKind::kRebuildFinished);
   EXPECT_EQ(events[2].b, 24u);
   EXPECT_EQ(events[3].kind, FabricEventKind::kPublish);
@@ -102,9 +106,9 @@ TEST(FlightRecorderTest, ConcurrentWritersAndDumpersStayConsistent) {
 
 TEST(FlightRecorderTest, JsonlNamesKindsAndAnomalies) {
   FlightRecorder rec(8);
-  rec.record(FabricEventKind::kWindowOpened, 0, 2);
-  rec.record(FabricEventKind::kWindowExtended, 0, 1);
-  rec.record(FabricEventKind::kRebuildSkipped, 0, 2);
+  rec.record(FabricEventKind::kRebuildStarted, 0, 1);
+  rec.record(FabricEventKind::kRebuildFinished, 0, 1, 24, 1);
+  rec.record(FabricEventKind::kReclaim, 0, 1, 0);
   rec.record(FabricEventKind::kAnomaly, 0,
              static_cast<std::uint64_t>(AnomalyCode::kWaitForHardCycle), 3);
 
@@ -112,9 +116,9 @@ TEST(FlightRecorderTest, JsonlNamesKindsAndAnomalies) {
   rec.writeJsonl(out);
   const std::string text = out.str();
   EXPECT_NE(text.find("\"schema\":\"obs_flight/1\""), std::string::npos);
-  EXPECT_NE(text.find("\"kind\":\"window_opened\""), std::string::npos);
-  EXPECT_NE(text.find("\"kind\":\"window_extended\""), std::string::npos);
-  EXPECT_NE(text.find("\"kind\":\"rebuild_skipped\""), std::string::npos);
+  EXPECT_NE(text.find("\"kind\":\"rebuild_started\""), std::string::npos);
+  EXPECT_NE(text.find("\"kind\":\"rebuild_finished\""), std::string::npos);
+  EXPECT_NE(text.find("\"kind\":\"reclaim\""), std::string::npos);
   EXPECT_NE(text.find("\"anomaly\":\"waitfor_hard_cycle\""),
             std::string::npos);
   EXPECT_NE(text.find("\"recorded\":4"), std::string::npos);

@@ -156,6 +156,34 @@ TEST(OracleGateTest, BuildHookAuditsEveryTableConstruction) {
   EXPECT_EQ(unaudited.table().fingerprint(), rebuilt.table().fingerprint());
 }
 
+TEST(OracleGateTest, DestroyingAnotherGateKeepsTheInstalledHook) {
+  const Scenario s = makeScenario(27);
+  OracleGate gate;
+  gate.installBuildHook();
+  { const OracleGate bystander; }  // never installed anything
+
+  const routing::Routing rebuilt = core::buildDownUp(s.topo, s.ct);
+  EXPECT_EQ(gate.auditsAt("table_build"), 1u);
+  OracleGate::uninstallBuildHook();
+}
+
+TEST(OracleGateTest, LaterInstallTakesTheHookAndOutlivesTheEarlierGate) {
+  const Scenario s = makeScenario(28);
+  OracleGate later;
+  {
+    OracleGate earlier;
+    earlier.installBuildHook();
+    later.installBuildHook();
+    const routing::Routing first = core::buildDownUp(s.topo, s.ct);
+    EXPECT_EQ(earlier.auditsAt("table_build"), 0u);
+    EXPECT_EQ(later.auditsAt("table_build"), 1u);
+  }  // the earlier gate no longer owns the hook, so it leaves it installed
+
+  const routing::Routing second = core::buildDownUp(s.topo, s.ct);
+  EXPECT_EQ(later.auditsAt("table_build"), 2u);
+  OracleGate::uninstallBuildHook();
+}
+
 TEST(OracleGateTest, FaultedSimulationIsBitForBitInertUnderTheGate) {
   // The gate's core contract: audits are read-only and draw no RNG, so a
   // fault-churned run produces identical statistics with and without it.
