@@ -10,9 +10,11 @@
 // --timeseries-out the windowed rate counter tracks (Perfetto JSON).
 //
 //   ./trace_paths --switches 16 --ports 4 --packets 6 --trace-out trace.json
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "core/downup_routing.hpp"
@@ -28,13 +30,8 @@ namespace {
 
 using namespace downup;
 
-std::string_view dirName(std::uint8_t dir) {
-  if (dir >= routing::kDirCount) return "INJECT";
-  return routing::toString(static_cast<routing::Dir>(dir));
-}
-
 // Injects src -> dst into a fresh single-packet deterministic run and
-// prints the turn taken at every hop, from the packet tracer's events.
+// prints the turn taken at every hop, from the packet tracer's channel path.
 void traceOnePacket(const routing::Routing& routing, topo::NodeId src,
                     topo::NodeId dst) {
   const topo::Topology& topo = routing.table().topology();
@@ -50,17 +47,14 @@ void traceOnePacket(const routing::Routing& routing, topo::NodeId src,
   const sim::PacketId pid = net.injectPacket(src, dst);
   for (int i = 0; i < 100000 && net.packetsEjected() < 1; ++i) net.step();
 
-  for (const auto& event : observer.tracer()->packetEvents(pid)) {
-    if (event.kind != obs::TraceEventKind::kVcAllocated) continue;
-    std::cout << "    cycle " << event.cycle << "  node " << event.node;
-    if (event.channel == obs::PacketTracer::kNoChannel) {
-      std::cout << "  T(" << dirName(event.fromDir) << " -> EJECT)\n";
-    } else {
-      std::cout << "  T(" << dirName(event.fromDir) << " -> "
-                << dirName(event.toDir) << ")  channel to "
-                << topo.channelDst(event.channel) << "\n";
-    }
+  std::string_view from = "INJECT";
+  for (topo::ChannelId c : observer.tracer()->channelPath(pid)) {
+    const std::string_view to = routing::toString(routing.permissions().dir(c));
+    std::cout << "    node " << topo.channelSrc(c) << "  T(" << from << " -> "
+              << to << ")  channel to " << topo.channelDst(c) << "\n";
+    from = to;
   }
+  std::cout << "    node " << dst << "  T(" << from << " -> EJECT)\n";
   std::cout << "    ejected at cycle " << net.packetEjectTime(pid) << " ("
             << routing.table().distance(src, dst) << " legal-minimum hops)\n";
 }
@@ -100,8 +94,8 @@ int main(int argc, char** argv) {
       topo, tree::TreePolicy::kM1SmallestFirst, treeRng);
   const routing::Routing routing = core::buildDownUp(topo, ct, {.pool = &pool});
 
-  // Every 4th packet is traced: enough to cover the printed walks without
-  // buffering the whole run.
+  // Every 4th packet is traced: the printed walks are the first sampled
+  // packets to eject, without buffering the whole run.
   obs::ObsOptions obsOptions{.metrics = true, .traceSampleEvery = 4};
   if (!timeseriesOut->empty()) obsOptions.timeseriesWindowCycles = 256;
   obs::Observer observer(obsOptions, topo, &ct);
@@ -109,33 +103,37 @@ int main(int argc, char** argv) {
   config.packetLengthFlits = 16;
   config.warmupCycles = 0;
   config.measureCycles = 100000;
-  config.tracePackets = true;
   config.seed = *seed + 2;
   config.observer = &observer;
   const sim::UniformTraffic traffic(topo.nodeCount());
   sim::WormholeNetwork net(routing.table(), traffic, 0.1, config);
-  const auto wanted = static_cast<std::uint64_t>(*packets);
-  for (int i = 0; i < 20000 && net.packetsEjected() < wanted; ++i) net.step();
+  const obs::PacketTracer& tracer = *observer.tracer();
+  const auto ejected = [&net](const obs::PacketTracer::PacketInfo& packet) {
+    return net.packetEjectTime(packet.packet) !=
+           sim::WormholeNetwork::kNeverEjected;
+  };
+  const auto sampledEjected = [&] {
+    return std::count_if(tracer.packets().begin(), tracer.packets().end(),
+                         ejected);
+  };
+  const auto wanted = static_cast<std::ptrdiff_t>(*packets);
+  for (int i = 0; i < 20000 && sampledEjected() < wanted; ++i) net.step();
 
   std::cout << "Traced DOWN/UP packet walks (direction per hop):\n\n";
-  std::uint64_t printed = 0;
-  for (sim::PacketId pid = 0;
-       pid < net.packetsGenerated() && printed < wanted; ++pid) {
-    if (net.packetEjectTime(pid) == sim::WormholeNetwork::kNeverEjected) {
-      continue;
-    }
-    const auto& path = net.packetPath(pid);
-    if (path.empty()) continue;
-    const topo::NodeId src = topo.channelSrc(path.front());
-    const topo::NodeId dst = topo.channelDst(path.back());
-    std::cout << "packet " << pid << "  " << src;
+  std::ptrdiff_t printed = 0;
+  for (const auto& packet : tracer.packets()) {
+    if (printed == wanted) break;
+    if (!ejected(packet)) continue;
+    const auto path = tracer.channelPath(packet.packet);
+    std::cout << "packet " << packet.packet << "  " << packet.src;
     for (topo::ChannelId c : path) {
       std::cout << " -[" << routing::toString(routing.permissions().dir(c))
                 << "]-> " << topo.channelDst(c);
     }
     std::cout << "\n  " << path.size() << " hops (legal minimum "
-              << routing.table().distance(src, dst) << "), latency "
-              << net.packetEjectTime(pid) - net.packetGenTime(pid) + 1
+              << routing.table().distance(packet.src, packet.dst)
+              << "), latency "
+              << net.packetEjectTime(packet.packet) - packet.genCycle + 1
               << " clocks\n";
     ++printed;
   }

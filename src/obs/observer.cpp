@@ -28,14 +28,8 @@ Observer::Observer(const ObsOptions& options, const topo::Topology& topo,
   if (options.traceSampleEvery > 0) {
     tracer_ = std::make_unique<PacketTracer>(options.traceSampleEvery);
   }
-  // Control-plane spans before the profiler: when both are enabled the
-  // profiler folds its phase aggregates into the same recorder, so one
-  // obs_spans/2 dump carries the rebuild trace and the phase totals.
   if (options.controlPlaneSpans) {
     controlPlaneSpans_ = std::make_unique<SpanRecorder>();
-  }
-  if (options.profilePhases) {
-    profiler_ = std::make_unique<PhaseProfiler>(controlPlaneSpans_.get());
   }
   if (options.timeseriesWindowCycles > 0) {
     TimeSeriesOptions tsOptions;
@@ -64,7 +58,6 @@ void Observer::attach(std::uint32_t nodeCount,
 void Observer::reset() {
   if (metrics_) metrics_->reset();
   if (tracer_) tracer_->clear();
-  if (profiler_) profiler_->reset();
   if (timeseries_) timeseries_->reset();
   if (waitfor_) waitfor_->reset();
   if (controlPlaneSpans_) controlPlaneSpans_->clear();

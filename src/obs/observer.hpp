@@ -1,7 +1,8 @@
 // The observability bundle a simulation run attaches to: an optional
-// metrics registry, an optional sampled packet tracer and an optional phase
-// profiler, sized for one topology and handed to the engine as a single
-// non-owning pointer (SimConfig::observer).
+// metrics registry, sampled packet tracer, time-series flight recorder,
+// wait-for sampler and control-plane span recorder, sized for one topology
+// and handed to the engine as a single non-owning pointer
+// (SimConfig::observer).
 //
 // The engine caches one raw pointer per component at construction and
 // guards every hook with a null check, so a run without an observer pays a
@@ -18,7 +19,6 @@
 #include <memory>
 
 #include "obs/metrics.hpp"
-#include "obs/phase_profiler.hpp"
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
@@ -34,8 +34,6 @@ struct ObsOptions {
   bool metrics = false;
   /// Trace every Nth packet's per-hop lifecycle; 0 disables tracing.
   std::uint32_t traceSampleEvery = 0;
-  /// Time the engine phases with steady_clock.
-  bool profilePhases = false;
   /// Windowed time-series flight recorder (obs/timeseries.hpp): bucket the
   /// run into windows of this many cycles; 0 disables.
   std::uint32_t timeseriesWindowCycles = 0;
@@ -73,8 +71,6 @@ class Observer {
   const MetricsRegistry* metrics() const noexcept { return metrics_.get(); }
   PacketTracer* tracer() noexcept { return tracer_.get(); }
   const PacketTracer* tracer() const noexcept { return tracer_.get(); }
-  PhaseProfiler* profiler() noexcept { return profiler_.get(); }
-  const PhaseProfiler* profiler() const noexcept { return profiler_.get(); }
   TimeSeriesCollector* timeseries() noexcept { return timeseries_.get(); }
   const TimeSeriesCollector* timeseries() const noexcept {
     return timeseries_.get();
@@ -96,7 +92,6 @@ class Observer {
   std::uint32_t channelCount_;
   std::unique_ptr<MetricsRegistry> metrics_;
   std::unique_ptr<PacketTracer> tracer_;
-  std::unique_ptr<PhaseProfiler> profiler_;
   std::unique_ptr<TimeSeriesCollector> timeseries_;
   std::unique_ptr<WaitForSampler> waitfor_;
   std::unique_ptr<SpanRecorder> controlPlaneSpans_;

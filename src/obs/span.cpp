@@ -91,11 +91,9 @@ void writeCounterMetaJson(const SpanRecorder& spans, std::ostream& out) {
 
 void writeSpansJsonl(const SpanRecorder& spans, std::ostream& out) {
   const std::vector<SpanRecorder::Span> all = spans.snapshot();
-  const std::vector<SpanRecorder::Aggregate> aggregates = spans.aggregates();
   out << "{\"record\":\"meta\",\"schema\":\"obs_spans/2\",\"gitRev\":\""
       << gitRevision() << "\",\"timestampUtc\":\"" << utcTimestamp()
-      << "\",\"spans\":" << all.size()
-      << ",\"aggregates\":" << aggregates.size() << ",";
+      << "\",\"spans\":" << all.size() << ",";
   writeCounterMetaJson(spans, out);
   out << "}\n";
   char buffer[96];
@@ -126,11 +124,6 @@ void writeSpansJsonl(const SpanRecorder& spans, std::ostream& out) {
           << ",\"bytes\":" << span.allocBytes << "}";
     }
     out << "}\n";
-  }
-  for (const SpanRecorder::Aggregate& agg : aggregates) {
-    out << "{\"record\":\"aggregate\",\"name\":\"" << agg.name
-        << "\",\"count\":" << agg.count << ",\"totalNs\":" << agg.totalNs
-        << "}\n";
   }
 }
 

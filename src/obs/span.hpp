@@ -32,10 +32,7 @@
 //     only the events that actually opened, plus derived ipc/missRate
 //     when their inputs are present;
 //   * alloc-tracked spans carry an "alloc" {count, bytes} object
-//     (innermost-span attribution, see util/span_recorder.hpp);
-//   * per-name accumulated stages (the engine phase profiler) export as
-//     "aggregate" records {name, count, totalNs} after the spans; they
-//     carry no counters.
+//     (innermost-span attribution, see util/span_recorder.hpp).
 #pragma once
 
 #include <iosfwd>
@@ -50,8 +47,7 @@ using util::SpanRecorder;
 /// Spans as JSONL (schema obs_spans/2): a `meta` header with counter
 /// availability, then one `span` record per span in begin order with
 /// id/parent/tid/depth, microsecond start/duration, the numeric args and
-/// any counter/alloc payloads, then one `aggregate` record per registered
-/// aggregate slot.
+/// any counter/alloc payloads.
 void writeSpansJsonl(const SpanRecorder& spans, std::ostream& out);
 
 /// Spans as Chrome trace_event JSON (Perfetto-loadable): one "X" complete

@@ -24,4 +24,16 @@ std::vector<PacketTracer::Event> PacketTracer::packetEvents(
   return result;
 }
 
+std::vector<std::uint32_t> PacketTracer::channelPath(
+    std::uint32_t packet) const {
+  std::vector<std::uint32_t> path;
+  for (const Event& event : events_) {
+    if (event.packet == packet && event.kind == TraceEventKind::kVcAllocated &&
+        event.channel != kNoChannel) {
+      path.push_back(event.channel);
+    }
+  }
+  return path;
+}
+
 }  // namespace downup::obs

@@ -97,6 +97,11 @@ class PacketTracer {
   /// Events of one packet, in recording (= cycle) order.
   std::vector<Event> packetEvents(std::uint32_t packet) const;
 
+  /// The channels a sampled packet was routed over, in hop order: the
+  /// channel of each of its kVcAllocated events, skipping the ejection
+  /// claim (kNoChannel).  Empty for an unsampled or still-queued packet.
+  std::vector<std::uint32_t> channelPath(std::uint32_t packet) const;
+
   void clear() {
     packets_.clear();
     events_.clear();

@@ -150,10 +150,6 @@ void WormholeNetwork::observeClaim(PacketId pid, topo::NodeId node,
 std::uint32_t WormholeNetwork::commitClaim(PacketId pid, std::uint32_t vcId) {
   vcs_[vcId].owner = pid;
   ++ownedVcs_;
-  if (config_.tracePackets) {
-    if (tracedPaths_.size() <= pid) tracedPaths_.resize(pid + 1);
-    tracedPaths_[pid].push_back(vcChannel(vcId));
-  }
   return vcId;
 }
 

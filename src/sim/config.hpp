@@ -45,18 +45,11 @@ struct SimConfig {
   /// burstFactor == 1 (default) is the plain Bernoulli process.
   double burstFactor = 1.0;
   std::uint32_t burstOnMeanCycles = 200;
-  /// Record every packet's channel path (memory ~ path length per packet;
-  /// for tests and the trace example).
-  bool tracePackets = false;
   /// When false, every header waits for the *fixed* lowest-numbered minimal
   /// candidate (VC 0 of the first legal output channel) instead of choosing
   /// randomly among free candidates — deterministic single-path routing,
   /// the ablation counterpart to the paper's adaptive mode.
   bool adaptiveSelection = true;
-  /// When > 0, RunStats::acceptedTimeline records ejected flits per bucket
-  /// of this many cycles over the *whole* run (including warm-up), so
-  /// warm-up adequacy and stationarity can be checked.
-  std::uint32_t timelineBucketCycles = 0;
   /// Escape-channel minimal-adaptive routing in the style of Silla & Duato
   /// (the paper's reference [8]); requires vcCount >= 2.  VC 0 of every
   /// physical channel is the *escape* class and obeys the turn rule; VCs
@@ -72,9 +65,10 @@ struct SimConfig {
   /// misrouteProbability > 0 and with adaptiveSelection == false.
   bool escapeAdaptiveRouting = false;
   /// Optional observability bundle (obs/observer.hpp): metrics registry,
-  /// sampled packet tracer, phase profiler.  Non-owning — the observer must
-  /// outlive the run and must not be shared between concurrently executing
-  /// simulations.  Null (the default) disables observability completely:
+  /// sampled packet tracer (per-packet paths), time series (ejected flits
+  /// per window), wait-for sampler, control-plane spans.  Non-owning — the
+  /// observer must outlive the run and must not be shared between
+  /// concurrently executing simulations.  Null (the default) disables observability completely:
   /// the engine's hot paths see only never-taken null checks, and results
   /// are bit-for-bit identical either way (hooks never draw RNG or alter
   /// scheduling).
@@ -155,10 +149,6 @@ struct RunStats {
   /// Measured flits per clock on each switch-to-switch channel, indexed by
   /// ChannelId (in [0, 1]; the basis of every Table 1-4 metric).
   std::vector<double> channelUtilization;
-
-  /// Ejected flits per timelineBucketCycles bucket over the whole run
-  /// (empty unless SimConfig::timelineBucketCycles > 0).
-  std::vector<std::uint64_t> acceptedTimeline;
 
   // --- fault injection / reconfiguration (zero unless faults fired) ---
 

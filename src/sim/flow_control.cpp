@@ -66,7 +66,7 @@ void WormholeNetwork::executeMove(bool fromSource, std::uint32_t index) {
   const bool measuring = now_ >= config_.warmupCycles;
 
   if (isEject(out)) {
-    telemetry_.recordEjectedFlit(now_, measuring);
+    telemetry_.recordEjectedFlit(measuring);
     if (timeseries_ != nullptr) timeseries_->recordEjectedFlit();
     if (isTail) {
       const topo::NodeId ejectNode =

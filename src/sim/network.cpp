@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <stdexcept>
 
 #include "obs/observer.hpp"
@@ -21,8 +20,7 @@ WormholeNetwork::WormholeNetwork(const RoutingTable& table,
       config_(config),
       injectionRate_(injectionRate),
       rng_(config.seed),
-      telemetry_(table.topology().channelCount(),
-                 config.timelineBucketCycles) {
+      telemetry_(table.topology().channelCount()) {
   config_.validate();
   if (injectionRate < 0.0 || injectionRate > 1.0) {
     throw std::invalid_argument(
@@ -64,7 +62,6 @@ WormholeNetwork::WormholeNetwork(const RoutingTable& table,
     config_.observer->attach(topo_->nodeCount(), topo_->channelCount());
     metrics_ = config_.observer->metrics();
     tracer_ = config_.observer->tracer();
-    profiler_ = config_.observer->profiler();
     timeseries_ = config_.observer->timeseries();
     waitfor_ = config_.observer->waitFor();
     obsClaims_ =
@@ -123,14 +120,10 @@ std::uint64_t WormholeNetwork::flitsInFlight() const noexcept {
 void WormholeNetwork::step() {
   movedThisCycle_ = false;
   if (faults_ != nullptr) [[unlikely]] faultPhase();
-  if (profiler_ == nullptr) [[likely]] {
-    deliverArrivals();
-    generateTraffic();
-    allocateOutputs();
-    transferFlits();
-  } else {
-    runPhasesProfiled();
-  }
+  deliverArrivals();
+  generateTraffic();
+  allocateOutputs();
+  transferFlits();
 
   // Deadlock watchdog: traffic is in flight but nothing has moved for a
   // long time.  With a correct (acyclic) turn rule this can never fire;
@@ -213,28 +206,6 @@ void WormholeNetwork::sampleWaitFor() {
         static_cast<std::uint64_t>(obs::AnomalyCode::kWaitForHardCycle),
         waitfor_->witnessCycle().size());
   }
-}
-
-void WormholeNetwork::runPhasesProfiled() {
-  using Clock = std::chrono::steady_clock;
-  const auto nanos = [](Clock::time_point a, Clock::time_point b) {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
-  };
-  const auto t0 = Clock::now();
-  deliverArrivals();
-  const auto t1 = Clock::now();
-  generateTraffic();
-  const auto t2 = Clock::now();
-  allocateOutputs();
-  const auto t3 = Clock::now();
-  transferFlits();
-  const auto t4 = Clock::now();
-  profiler_->add(obs::PhaseProfiler::kFlowControl, nanos(t0, t1));
-  profiler_->add(obs::PhaseProfiler::kTraffic, nanos(t1, t2));
-  profiler_->add(obs::PhaseProfiler::kAllocation, nanos(t2, t3));
-  profiler_->add(obs::PhaseProfiler::kArbitration, nanos(t3, t4));
-  profiler_->endCycle();
 }
 
 void WormholeNetwork::generateTraffic() {

@@ -61,7 +61,6 @@
 namespace downup::obs {
 class MetricsRegistry;
 class PacketTracer;
-class PhaseProfiler;
 class TimeSeriesCollector;
 class WaitForSampler;
 }
@@ -113,12 +112,6 @@ class WormholeNetwork {
   /// Cycle the packet's first flit left the source queue, or kNeverEjected.
   std::uint64_t packetInjectTime(PacketId pid) const {
     return packets_[pid].injectTime;
-  }
-  /// The channel sequence the packet was routed over (requires
-  /// config.tracePackets; empty otherwise or while still queued).
-  const std::vector<ChannelId>& packetPath(PacketId pid) const {
-    static const std::vector<ChannelId> kEmpty;
-    return pid < tracedPaths_.size() ? tracedPaths_[pid] : kEmpty;
   }
 
   std::uint64_t now() const noexcept { return now_; }
@@ -190,9 +183,6 @@ class WormholeNetwork {
   /// fast path so non-modulating runs keep their pinned draw sequence.
   void generateTrafficModulated();
   void enqueuePacket(topo::NodeId src, topo::NodeId dst);
-  /// The four engine phases wrapped in steady_clock timers (profiler
-  /// attached); the detached path calls them directly from step().
-  void runPhasesProfiled();
 
   // --- allocation.cpp ---
   void allocateOutputs();
@@ -207,7 +197,7 @@ class WormholeNetwork {
   /// outputs as fallback (sticky once taken).
   std::uint32_t claimEscapeAdaptive(PacketId pid, topo::NodeId node,
                                     ChannelId in, topo::NodeId dst);
-  /// Claims `vcId` for `pid`, recording the trace hop; returns vcId.
+  /// Claims `vcId` for `pid`; returns vcId.
   std::uint32_t commitClaim(PacketId pid, std::uint32_t vcId);
   std::uint32_t claimEjectPort(PacketId pid, topo::NodeId node);
   /// Observability hook for a successful claim: blocked-cycle and
@@ -298,8 +288,7 @@ class WormholeNetwork {
   std::vector<Source> sources_;
   std::vector<PacketId> ejectOwner_;
   std::vector<Packet> packets_;
-  std::vector<std::vector<ChannelId>> tracedPaths_;  // iff tracePackets
-  std::vector<bool> burstOn_;                        // iff burstFactor > 1
+  std::vector<bool> burstOn_;  // iff burstFactor > 1
 
   static constexpr std::uint32_t kPipelineCycles = 2;  // switch + link
   std::array<std::vector<std::uint32_t>, kPipelineCycles + 1> arrivals_;
@@ -357,7 +346,6 @@ class WormholeNetwork {
   // identical whether or not an observer is attached.
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::PacketTracer* tracer_ = nullptr;
-  obs::PhaseProfiler* profiler_ = nullptr;
   obs::TimeSeriesCollector* timeseries_ = nullptr;
   obs::WaitForSampler* waitfor_ = nullptr;
   bool obsClaims_ = false;  // metrics_, tracer_ or timeseries_ attached

@@ -4,21 +4,8 @@
 
 namespace downup::sim {
 
-Telemetry::Telemetry(std::uint32_t channelCount,
-                     std::uint32_t timelineBucketCycles)
-    : timelineBucketCycles_(timelineBucketCycles),
-      channelFlits_(channelCount, 0) {}
-
-void Telemetry::recordEjectedFlit(std::uint64_t now, bool measuring) {
-  if (measuring) ++flitsEjectedMeasured_;
-  if (timelineBucketCycles_ > 0) {
-    const auto bucket = static_cast<std::size_t>(now / timelineBucketCycles_);
-    if (acceptedTimeline_.size() <= bucket) {
-      acceptedTimeline_.resize(bucket + 1, 0);
-    }
-    ++acceptedTimeline_[bucket];
-  }
-}
+Telemetry::Telemetry(std::uint32_t channelCount)
+    : channelFlits_(channelCount, 0) {}
 
 void Telemetry::recordDelivered(double latency, double queueingDelay,
                                 bool measuring) {
@@ -48,7 +35,6 @@ void Telemetry::fill(RunStats& stats, std::uint64_t measuredCycles,
     stats.channelUtilization[c] =
         static_cast<double>(channelFlits_[c]) / cycles;
   }
-  stats.acceptedTimeline = acceptedTimeline_;
 }
 
 }  // namespace downup::sim

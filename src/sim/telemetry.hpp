@@ -22,10 +22,12 @@ namespace downup::sim {
 
 class Telemetry {
  public:
-  Telemetry(std::uint32_t channelCount, std::uint32_t timelineBucketCycles);
+  explicit Telemetry(std::uint32_t channelCount);
 
-  /// A flit left the network through an ejection port at cycle `now`.
-  void recordEjectedFlit(std::uint64_t now, bool measuring);
+  /// A flit left the network through an ejection port.
+  void recordEjectedFlit(bool measuring) {
+    if (measuring) ++flitsEjectedMeasured_;
+  }
 
   /// A tail flit completed a packet whose generation fell inside the
   /// measurement window.
@@ -51,18 +53,16 @@ class Telemetry {
   }
 
   /// Writes every telemetry-owned field of `stats` (latency block, accepted
-  /// traffic, channel utilization, timeline).
+  /// traffic, channel utilization).
   void fill(RunStats& stats, std::uint64_t measuredCycles,
             std::uint32_t nodeCount) const;
 
  private:
-  std::uint32_t timelineBucketCycles_;
   std::uint64_t flitsEjectedMeasured_ = 0;
   std::uint64_t packetsEjectedMeasured_ = 0;
   util::QuantileSketch latency_;
   util::QuantileSketch queueingDelay_;
-  std::vector<std::uint64_t> channelFlits_;      // per physical channel
-  std::vector<std::uint64_t> acceptedTimeline_;  // iff timelineBucketCycles
+  std::vector<std::uint64_t> channelFlits_;  // per physical channel
 };
 
 }  // namespace downup::sim

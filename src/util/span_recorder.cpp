@@ -1,6 +1,6 @@
 #include "util/span_recorder.hpp"
 
-#include <cstring>
+#include <algorithm>
 
 namespace downup::util {
 
@@ -33,16 +33,6 @@ thread_local std::vector<OpenFrame> tOpenStack;
 /// and noteAllocation are all O(1).
 thread_local std::int32_t tTrackingTop = -1;
 
-/// Dense thread index, cached per (thread, recorder).  One cache entry per
-/// thread suffices in practice (a thread talks to one recorder at a time);
-/// a different recorder simply re-registers.
-struct TidCache {
-  const SpanRecorder* recorder = nullptr;
-  std::uint32_t tid = 0;
-};
-
-thread_local TidCache tTidCache;
-
 void popFrame() noexcept {
   if (tOpenStack.back().tracksAlloc) {
     tTrackingTop = tOpenStack.back().prevTracking;
@@ -60,11 +50,13 @@ void noteAllocation(std::size_t bytes) noexcept {
 }
 
 std::uint32_t SpanRecorder::threadIndexLocked() {
-  if (tTidCache.recorder != this) {
-    tTidCache.recorder = this;
-    tTidCache.tid = threadCount_++;
+  const std::thread::id self = std::this_thread::get_id();
+  const auto it = std::find(threads_.begin(), threads_.end(), self);
+  if (it != threads_.end()) {
+    return static_cast<std::uint32_t>(it - threads_.begin());
   }
-  return tTidCache.tid;
+  threads_.push_back(self);
+  return static_cast<std::uint32_t>(threads_.size() - 1);
 }
 
 std::uint32_t SpanRecorder::begin(const char* name) {
@@ -155,56 +147,6 @@ void SpanRecorder::attachCounters(PerfCounterGroup* counters) {
       counters != nullptr ? std::this_thread::get_id() : std::thread::id{};
 }
 
-std::uint32_t SpanRecorder::registerAggregate(const char* name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (std::size_t i = 0; i < aggregates_.size(); ++i) {
-    if (std::strcmp(aggregates_[i].name, name) == 0) {
-      return static_cast<std::uint32_t>(i);
-    }
-  }
-  aggregates_.emplace_back();
-  aggregates_.back().name = name;
-  return static_cast<std::uint32_t>(aggregates_.size() - 1);
-}
-
-void SpanRecorder::accumulate(std::uint32_t id, std::uint64_t ns) noexcept {
-  if (id >= aggregates_.size()) return;
-  AggregateSlot& slot = aggregates_[id];
-  slot.count.fetch_add(1, std::memory_order_relaxed);
-  slot.totalNs.fetch_add(ns, std::memory_order_relaxed);
-}
-
-void SpanRecorder::resetAggregate(std::uint32_t id) noexcept {
-  if (id >= aggregates_.size()) return;
-  AggregateSlot& slot = aggregates_[id];
-  slot.count.store(0, std::memory_order_relaxed);
-  slot.totalNs.store(0, std::memory_order_relaxed);
-}
-
-std::vector<SpanRecorder::Aggregate> SpanRecorder::aggregates() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<Aggregate> out;
-  out.reserve(aggregates_.size());
-  for (const AggregateSlot& slot : aggregates_) {
-    Aggregate agg;
-    agg.name = slot.name;
-    agg.count = slot.count.load(std::memory_order_relaxed);
-    agg.totalNs = slot.totalNs.load(std::memory_order_relaxed);
-    out.push_back(agg);
-  }
-  return out;
-}
-
-std::uint64_t SpanRecorder::aggregateNs(std::uint32_t id) const noexcept {
-  if (id >= aggregates_.size()) return 0;
-  return aggregates_[id].totalNs.load(std::memory_order_relaxed);
-}
-
-std::uint64_t SpanRecorder::aggregateCount(std::uint32_t id) const noexcept {
-  if (id >= aggregates_.size()) return 0;
-  return aggregates_[id].count.load(std::memory_order_relaxed);
-}
-
 std::vector<SpanRecorder::Span> SpanRecorder::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return spans_;
@@ -218,9 +160,6 @@ std::size_t SpanRecorder::size() const {
 void SpanRecorder::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   spans_.clear();
-  for (std::uint32_t id = 0; id < aggregates_.size(); ++id) {
-    resetAggregate(id);
-  }
 }
 
 }  // namespace downup::util

@@ -15,13 +15,14 @@
 //     builds stay bit-for-bit identical to uninstrumented ones;
 //   * begin/end pairs nest per thread (ScopedSpan enforces this); spans
 //     from different threads interleave freely and carry a dense per-thread
-//     index for the exporters;
+//     index for the exporters (one index per thread for the recorder's
+//     lifetime, assigned in first-begin order);
 //   * recording is thread-safe behind one mutex — control-plane events are
 //     rare (rebuilds per second, not packets per cycle), so contention is
 //     not a concern and the simple structure keeps dump() trivially
 //     consistent.
 //
-// Three opt-in extensions share the substrate:
+// Two opt-in extensions share the substrate:
 //   * attachCounters(PerfCounterGroup*): spans begun on the counter group's
 //     owning thread carry counter deltas (cycles, instructions, cache and
 //     branch misses — whatever subset the environment opened; see
@@ -37,10 +38,6 @@
 //     thread-locals only — no locks, no allocation — so it is reentrancy-
 //     safe under the global-new override and costs one thread-local read
 //     when no tracked span is open.
-//   * registerAggregate()/accumulate(): per-name accumulated {ns, count}
-//     slots for per-cycle hot paths (the engine's phase profiler) where
-//     one span per occurrence would be unaffordable.
-//     accumulate() is lock-free (relaxed atomics into stable slots).
 //
 // Timestamps are steady_clock nanoseconds relative to the recorder's
 // construction, so one recorder shared across threads yields one coherent
@@ -50,8 +47,6 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <deque>
-#include <atomic>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -96,13 +91,6 @@ class SpanRecorder {
     }
   };
 
-  /// Snapshot of one aggregated stage (see registerAggregate).
-  struct Aggregate {
-    const char* name = nullptr;
-    std::uint64_t count = 0;    // occurrences accumulated
-    std::uint64_t totalNs = 0;  // summed wall-clock nanoseconds
-  };
-
   SpanRecorder() : epoch_(std::chrono::steady_clock::now()) {}
 
   SpanRecorder(const SpanRecorder&) = delete;
@@ -133,35 +121,15 @@ class SpanRecorder {
   void setAllocTracking(bool enabled) noexcept { allocTracking_ = enabled; }
   bool allocTracking() const noexcept { return allocTracking_; }
 
-  /// Registers an aggregated stage slot (locks; call during setup, not on
-  /// the hot path).  Re-registering the same name returns the same id.
-  std::uint32_t registerAggregate(const char* name);
-
-  /// Adds one occurrence of `ns` to an aggregate slot.  Lock-free; safe
-  /// from any thread (relaxed atomics — totals are read after the run).
-  void accumulate(std::uint32_t id, std::uint64_t ns) noexcept;
-
-  /// Zeroes one aggregate slot's totals (registration survives).
-  void resetAggregate(std::uint32_t id) noexcept;
-
-  /// Snapshot of every aggregate slot in registration order.
-  std::vector<Aggregate> aggregates() const;
-
-  /// Total nanoseconds accumulated into one slot so far.
-  std::uint64_t aggregateNs(std::uint32_t id) const noexcept;
-  /// Occurrences accumulated into one slot so far.
-  std::uint64_t aggregateCount(std::uint32_t id) const noexcept;
-
   /// Snapshot of every recorded span (closed or still open), in begin
   /// order.  Safe to call from any thread.
   std::vector<Span> snapshot() const;
 
   std::size_t size() const;
 
-  /// Drops every recorded span and zeroes aggregate totals (registrations
-  /// survive, so cached aggregate ids stay valid).  Call between runs,
-  /// not while spans are open — frames still on a thread's stack would
-  /// dangle into the next recording.
+  /// Drops every recorded span (thread indices survive).  Call between
+  /// runs, not while spans are open — frames still on a thread's stack
+  /// would dangle into the next recording.
   void clear();
 
   /// Nanoseconds since the recorder's construction (the span timebase).
@@ -173,21 +141,15 @@ class SpanRecorder {
   }
 
  private:
-  struct AggregateSlot {
-    const char* name = nullptr;
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> totalNs{0};
-  };
-
   std::uint32_t threadIndexLocked();
 
   std::chrono::steady_clock::time_point epoch_;
   mutable std::mutex mutex_;
   std::vector<Span> spans_;
-  std::uint32_t threadCount_ = 0;  // dense tids handed out so far
-  // Deque: slot addresses stay stable across registration, so accumulate()
-  // needs no lock.
-  std::deque<AggregateSlot> aggregates_;
+  // Dense tid = position of the thread's id here, searched under mutex_ (a
+  // recorder sees a handful of threads).  Owned by the recorder, so no
+  // per-thread cache can outlive it or confuse two recorders.
+  std::vector<std::thread::id> threads_;
   PerfCounterGroup* counters_ = nullptr;
   std::thread::id counterThread_{};
   bool allocTracking_ = false;

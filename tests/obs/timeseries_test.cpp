@@ -1,18 +1,22 @@
 // TimeSeriesCollector: window bucketing, ring eviction, reconfiguration
 // spans, merge semantics — and the engine-level contracts: attached
 // collectors are bit-for-bit inert, window totals reconcile with the run
-// totals, and the disabled path stays allocation-free (this binary
-// overrides the global allocation functions; one override per binary, same
-// pattern as test_obs's zero_overhead_test).
+// totals (and the measured windows with the measured ejections), and the
+// disabled path stays allocation-free (this binary overrides the global
+// allocation functions; one override per binary, same pattern as test_obs's
+// zero_overhead_test).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "core/downup_routing.hpp"
 #include "obs/observer.hpp"
 #include "obs/timeseries.hpp"
+#include "routing/updown.hpp"
 #include "sim/engine.hpp"
 #include "sim/network.hpp"
 #include "topology/generate.hpp"
@@ -311,6 +315,76 @@ TEST(TimeSeriesEngineTest, WindowTotalsReconcileWithRunTotals) {
   EXPECT_EQ(generated, net.packetsGenerated());
   EXPECT_EQ(ejectedPackets, net.packetsEjected());
   EXPECT_EQ(prevEnd, net.now());
+}
+
+// Ejected flits per window of a torus(4, 4) up*/down* run (the windowed
+// throughput timeline), closed out at the run's last cycle.
+std::vector<std::uint64_t> ejectedFlitsPerWindow(sim::SimConfig config,
+                                                 std::uint32_t windowCycles,
+                                                 double load,
+                                                 sim::RunStats& stats) {
+  const topo::Topology topo = topo::torus(4, 4);
+  util::Rng rng(1);
+  const tree::CoordinatedTree ct = tree::CoordinatedTree::build(
+      topo, tree::TreePolicy::kM1SmallestFirst, rng);
+  const routing::Routing routing = routing::buildUpDown(topo, ct);
+  const sim::UniformTraffic traffic(topo.nodeCount());
+  Observer observer({.timeseriesWindowCycles = windowCycles}, topo);
+  config.observer = &observer;
+  sim::WormholeNetwork net(routing.table(), traffic, load, config);
+  stats = net.run();
+  TimeSeriesCollector& ts = *observer.timeseries();
+  ts.finish(net.now());
+  std::vector<std::uint64_t> flits;
+  for (std::size_t i = 0; i < ts.windowCount(); ++i) {
+    EXPECT_EQ(ts.window(i).startCycle, i * windowCycles);  // none evicted
+    flits.push_back(ts.window(i).ejectedFlits);
+  }
+  return flits;
+}
+
+TEST(TimeSeriesEngineTest, MeasuredWindowsSumToMeasuredEjections) {
+  sim::SimConfig config;
+  config.packetLengthFlits = 8;
+  config.warmupCycles = 1000;
+  config.measureCycles = 4000;
+  sim::RunStats stats;
+  const std::vector<std::uint64_t> flits =
+      ejectedFlitsPerWindow(config, 500, 0.2, stats);
+  ASSERT_EQ(flits.size(), (1000u + 4000u) / 500u);
+
+  // Warm-up is a whole number of windows, so the windows from warm-up on
+  // hold exactly the flits ejected during the measurement window.
+  std::uint64_t measuredWindows = 0;
+  for (std::size_t i = 1000 / 500; i < flits.size(); ++i) {
+    measuredWindows += flits[i];
+  }
+  EXPECT_GT(measuredWindows, 0u);
+  EXPECT_EQ(measuredWindows, stats.flitsEjectedMeasured);
+}
+
+TEST(TimeSeriesEngineTest, SteadyStateWindowsAreStable) {
+  // After warm-up the per-window accepted counts should fluctuate around a
+  // stable mean (stationarity), not trend.
+  sim::SimConfig config;
+  config.packetLengthFlits = 8;
+  config.warmupCycles = 2000;
+  config.measureCycles = 16000;
+  sim::RunStats stats;
+  const std::vector<std::uint64_t> flits =
+      ejectedFlitsPerWindow(config, 2000, 0.15, stats);
+  ASSERT_GE(flits.size(), 8u);
+  // Compare the mean of the first and second half of the measured windows.
+  double first = 0.0;
+  double second = 0.0;
+  const std::size_t start = 1;  // skip the warm-up window
+  const std::size_t n = flits.size() - start;
+  for (std::size_t i = 0; i < n; ++i) {
+    (i < n / 2 ? first : second) += static_cast<double>(flits[start + i]);
+  }
+  first /= static_cast<double>(n / 2);
+  second /= static_cast<double>(n - n / 2);
+  EXPECT_NEAR(first, second, 0.25 * std::max(first, second));
 }
 
 TEST(TimeSeriesEngineTest, DisabledObserverSteadyStateAllocatesNothing) {

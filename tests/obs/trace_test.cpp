@@ -63,6 +63,22 @@ TEST(PacketTracerTest, SamplingIsDeterministicByPacketId) {
   EXPECT_TRUE(everyThird.sampled(3));
 }
 
+TEST(PacketTracerTest, ChannelPathSkipsTheEjectionClaim) {
+  obs::PacketTracer tracer(1);
+  constexpr std::uint32_t kEject = obs::PacketTracer::kNoChannel;
+  tracer.onGenerated(0, 1, 4, 0);
+  tracer.onGenerated(1, 2, 3, 0);
+  tracer.record(obs::TraceEventKind::kVcAllocated, 0, 1, 1, 5);
+  tracer.record(obs::TraceEventKind::kVcAllocated, 1, 1, 2, 6);
+  tracer.record(obs::TraceEventKind::kChannelCrossed, 0, 2, 1, 5);
+  tracer.record(obs::TraceEventKind::kBlocked, 0, 4, 2, 7, 0, 1, 1);
+  tracer.record(obs::TraceEventKind::kVcAllocated, 0, 4, 2, 7);
+  tracer.record(obs::TraceEventKind::kVcAllocated, 0, 6, 4, kEject);
+  EXPECT_EQ(tracer.channelPath(0), (std::vector<std::uint32_t>{5, 7}));
+  EXPECT_EQ(tracer.channelPath(1), (std::vector<std::uint32_t>{6}));
+  EXPECT_TRUE(tracer.channelPath(2).empty());
+}
+
 TEST(PacketTracerTest, SimulationEventsAreWellFormedPerPacket) {
   const Fixture f;
   obs::Observer observer({.traceSampleEvery = 1}, f.topo, &f.ct);
@@ -156,9 +172,8 @@ TEST(ObserverTest, AttachedObserverLeavesTheRunBitForBitIdentical) {
   sim::WormholeNetwork bare(f.routing.table(), traffic, 0.08, plain);
   const sim::RunStats expected = bare.run();
 
-  obs::Observer observer(
-      {.metrics = true, .traceSampleEvery = 1, .profilePhases = true}, f.topo,
-      &f.ct);
+  obs::Observer observer({.metrics = true, .traceSampleEvery = 1}, f.topo,
+                         &f.ct);
   sim::SimConfig observed = f.config();
   observed.observer = &observer;
   sim::WormholeNetwork traced(f.routing.table(), traffic, 0.08, observed);
@@ -181,9 +196,9 @@ TEST(ObserverTest, AttachedObserverLeavesTheRunBitForBitIdentical) {
                      expected.channelUtilization[c]);
   }
 
-  // And the observer actually observed: phases timed, turns recorded, the
+  // And the observer actually observed: packets traced, turns recorded, the
   // engine's channel-flit counts agree with telemetry's.
-  EXPECT_EQ(observer.profiler()->cycles(), expected.cycles);
+  EXPECT_EQ(observer.tracer()->packets().size(), traced.packetsGenerated());
   EXPECT_GT(observer.metrics()->totalTurnsTaken(), 0u);
   const auto utilization =
       observer.metrics()->channelUtilization(observed.measureCycles);

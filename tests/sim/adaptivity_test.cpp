@@ -6,6 +6,7 @@
 #include <map>
 
 #include "core/downup_routing.hpp"
+#include "obs/observer.hpp"
 #include "sim/engine.hpp"
 #include "topology/generate.hpp"
 
@@ -30,9 +31,10 @@ TEST(DeterministicSelection, SamePairAlwaysTakesTheSamePath) {
   config.packetLengthFlits = 8;
   config.warmupCycles = 0;
   config.measureCycles = 100000;
-  config.tracePackets = true;
   config.adaptiveSelection = false;
   config.seed = 6;
+  obs::Observer observer({.traceSampleEvery = 1}, topo);
+  config.observer = &observer;
   const UniformTraffic traffic(topo.nodeCount());
   WormholeNetwork net(routing.table(), traffic, 0.1, config);
   for (int i = 0; i < 8000; ++i) net.step();
@@ -41,7 +43,7 @@ TEST(DeterministicSelection, SamePairAlwaysTakesTheSamePath) {
   std::map<std::pair<NodeId, NodeId>, std::vector<topo::ChannelId>> seen;
   for (PacketId pid = 0; pid < net.packetsGenerated(); ++pid) {
     if (net.packetEjectTime(pid) == WormholeNetwork::kNeverEjected) continue;
-    const auto& path = net.packetPath(pid);
+    const auto path = observer.tracer()->channelPath(pid);
     ASSERT_FALSE(path.empty());
     const auto key = std::pair(topo.channelSrc(path.front()),
                                topo.channelDst(path.back()));

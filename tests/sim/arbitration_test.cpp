@@ -1,6 +1,6 @@
 // Switch arbitration and bandwidth-limit behaviour: one flit per physical
 // channel per cycle, one per ejection port per cycle, round-robin fairness
-// between competing flows, and the measurement-timeline feature.
+// between competing flows.
 #include <gtest/gtest.h>
 
 #include "routing/updown.hpp"
@@ -102,67 +102,6 @@ TEST(Arbitration, ChannelNeverExceedsOneFlitPerCycle) {
   for (double util : stats.channelUtilization) {
     EXPECT_LE(util, 1.0 + 1e-12);
   }
-}
-
-TEST(Timeline, BucketsCoverTheRunAndSumToEjections) {
-  const Topology topo = topo::torus(4, 4);
-  const Routing routing = updownOn(topo);
-  const UniformTraffic traffic(topo.nodeCount());
-  SimConfig config;
-  config.packetLengthFlits = 8;
-  config.warmupCycles = 1000;
-  config.measureCycles = 4000;
-  config.timelineBucketCycles = 500;
-  const RunStats stats = simulate(routing.table(), traffic, 0.2, config);
-  ASSERT_FALSE(stats.acceptedTimeline.empty());
-  EXPECT_LE(stats.acceptedTimeline.size(), (1000u + 4000u) / 500u + 1);
-
-  // Flits ejected during the measurement window == the sum of the buckets
-  // that lie entirely inside it.
-  std::uint64_t measuredBuckets = 0;
-  for (std::size_t i = 1000 / 500; i < stats.acceptedTimeline.size(); ++i) {
-    measuredBuckets += stats.acceptedTimeline[i];
-  }
-  EXPECT_EQ(measuredBuckets, stats.flitsEjectedMeasured);
-}
-
-TEST(Timeline, SteadyStateBucketsAreStable) {
-  // After warm-up the per-bucket accepted counts should fluctuate around a
-  // stable mean (stationarity), not trend.
-  const Topology topo = topo::torus(4, 4);
-  const Routing routing = updownOn(topo);
-  const UniformTraffic traffic(topo.nodeCount());
-  SimConfig config;
-  config.packetLengthFlits = 8;
-  config.warmupCycles = 2000;
-  config.measureCycles = 16000;
-  config.timelineBucketCycles = 2000;
-  const RunStats stats = simulate(routing.table(), traffic, 0.15, config);
-  ASSERT_GE(stats.acceptedTimeline.size(), 8u);
-  // Compare the mean of the first and second half of the measured buckets.
-  double first = 0.0;
-  double second = 0.0;
-  const std::size_t start = 1;  // skip the warm-up bucket
-  const std::size_t n = stats.acceptedTimeline.size() - start;
-  for (std::size_t i = 0; i < n; ++i) {
-    (i < n / 2 ? first : second) +=
-        static_cast<double>(stats.acceptedTimeline[start + i]);
-  }
-  first /= static_cast<double>(n / 2);
-  second /= static_cast<double>(n - n / 2);
-  EXPECT_NEAR(first, second, 0.25 * std::max(first, second));
-}
-
-TEST(Timeline, DisabledByDefault) {
-  const Topology topo = topo::ring(4);
-  const Routing routing = updownOn(topo);
-  const UniformTraffic traffic(topo.nodeCount());
-  SimConfig config;
-  config.packetLengthFlits = 4;
-  config.warmupCycles = 0;
-  config.measureCycles = 500;
-  const RunStats stats = simulate(routing.table(), traffic, 0.1, config);
-  EXPECT_TRUE(stats.acceptedTimeline.empty());
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "core/downup_routing.hpp"
+#include "obs/observer.hpp"
 #include "sim/engine.hpp"
 #include "topology/generate.hpp"
 
@@ -92,7 +93,8 @@ TEST(EscapeAdaptive, PathsAreExactlyLegalShortest) {
   config.packetLengthFlits = 8;
   config.warmupCycles = 0;
   config.measureCycles = 100000;
-  config.tracePackets = true;
+  obs::Observer observer({.traceSampleEvery = 1}, topo);
+  config.observer = &observer;
   const UniformTraffic traffic(topo.nodeCount());
   WormholeNetwork net(routing.table(), traffic, 0.2, config);
   for (int i = 0; i < 6000; ++i) net.step();
@@ -102,7 +104,7 @@ TEST(EscapeAdaptive, PathsAreExactlyLegalShortest) {
   std::size_t checked = 0;
   for (PacketId pid = 0; pid < net.packetsGenerated(); ++pid) {
     if (net.packetEjectTime(pid) == WormholeNetwork::kNeverEjected) continue;
-    const auto& path = net.packetPath(pid);
+    const auto path = observer.tracer()->channelPath(pid);
     ASSERT_FALSE(path.empty());
     const NodeId src = topo.channelSrc(path.front());
     const NodeId dst = topo.channelDst(path.back());
@@ -131,14 +133,15 @@ TEST(EscapeAdaptive, AdaptiveHopsActuallyViolateTurns) {
   config.packetLengthFlits = 8;
   config.warmupCycles = 0;
   config.measureCycles = 100000;
-  config.tracePackets = true;
+  obs::Observer observer({.traceSampleEvery = 1}, topo);
+  config.observer = &observer;
   const UniformTraffic traffic(topo.nodeCount());
   WormholeNetwork net(routing.table(), traffic, 0.3, config);
   for (int i = 0; i < 6000; ++i) net.step();
 
   std::size_t illegalTurns = 0;
   for (PacketId pid = 0; pid < net.packetsGenerated(); ++pid) {
-    const auto& path = net.packetPath(pid);
+    const auto path = observer.tracer()->channelPath(pid);
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
       const NodeId via = topo.channelDst(path[i]);
       if (!routing.permissions().allowed(via, path[i], path[i + 1])) {

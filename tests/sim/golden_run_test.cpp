@@ -164,7 +164,6 @@ TEST_F(GoldenRunTest, EmptyFaultScheduleIsInert) {
 TEST_F(GoldenRunTest, BurstyTraffic) {
   sim::SimConfig config = baseConfig();
   config.burstFactor = 4.0;
-  config.timelineBucketCycles = 500;
   expectGolden(config, 0.10,
                {488, 443, 7140, 33.778781038374717, 29.0, 69.159999999999968,
                 8.516930022573364, 0.099166666666666667,

@@ -1,5 +1,5 @@
-// Telemetry unit tests: timeline bucketing edge cases, zero-delivery fills
-// and the measurement-window gating of every recorder.
+// Telemetry unit tests: zero-delivery fills and the measurement-window
+// gating of every recorder.
 #include "sim/telemetry.hpp"
 
 #include <gtest/gtest.h>
@@ -7,50 +7,21 @@
 namespace downup::sim {
 namespace {
 
-TEST(TelemetryTest, TimelineBucketsWhenWindowNotMultipleOfBucketWidth) {
-  // Bucket width 100, events up to cycle 250: the last bucket is partial
-  // and must still be recorded at its own index.
-  Telemetry telemetry(/*channelCount=*/2, /*timelineBucketCycles=*/100);
-  telemetry.recordEjectedFlit(/*now=*/0, /*measuring=*/true);
-  telemetry.recordEjectedFlit(99, true);
-  telemetry.recordEjectedFlit(100, true);
-  telemetry.recordEjectedFlit(250, true);
-
-  RunStats stats;
-  telemetry.fill(stats, /*measuredCycles=*/251, /*nodeCount=*/4);
-  ASSERT_EQ(stats.acceptedTimeline.size(), 3u);
-  EXPECT_EQ(stats.acceptedTimeline[0], 2u);
-  EXPECT_EQ(stats.acceptedTimeline[1], 1u);
-  EXPECT_EQ(stats.acceptedTimeline[2], 1u);
-}
-
-TEST(TelemetryTest, TimelineCountsWarmupFlitsButMeasuredCountersDoNot) {
-  // The timeline covers the whole run (stationarity checks need warm-up),
-  // while the measured ejected-flit counter honours the gate.
-  Telemetry telemetry(1, 10);
-  telemetry.recordEjectedFlit(3, /*measuring=*/false);
-  telemetry.recordEjectedFlit(17, /*measuring=*/true);
+TEST(TelemetryTest, WarmupFlitsStayOutOfMeasuredCounter) {
+  // The measured ejected-flit counter honours the measurement-window gate.
+  Telemetry telemetry(1);
+  telemetry.recordEjectedFlit(/*measuring=*/false);
+  telemetry.recordEjectedFlit(/*measuring=*/true);
 
   RunStats stats;
   telemetry.fill(stats, 20, 1);
-  ASSERT_EQ(stats.acceptedTimeline.size(), 2u);
-  EXPECT_EQ(stats.acceptedTimeline[0], 1u);
-  EXPECT_EQ(stats.acceptedTimeline[1], 1u);
   EXPECT_EQ(stats.flitsEjectedMeasured, 1u);
-}
-
-TEST(TelemetryTest, TimelineDisabledWhenBucketWidthZero) {
-  Telemetry telemetry(1, 0);
-  telemetry.recordEjectedFlit(5, true);
-  RunStats stats;
-  telemetry.fill(stats, 10, 1);
-  EXPECT_TRUE(stats.acceptedTimeline.empty());
 }
 
 TEST(TelemetryTest, ZeroDeliveredPacketsFillsFiniteDefaults) {
   // A run that delivered nothing must not divide by zero or emit NaNs:
   // the latency block stays at its zero defaults.
-  Telemetry telemetry(3, 0);
+  Telemetry telemetry(3);
   RunStats stats;
   telemetry.fill(stats, /*measuredCycles=*/1000, /*nodeCount=*/8);
   EXPECT_EQ(stats.packetsEjectedMeasured, 0u);
@@ -66,8 +37,8 @@ TEST(TelemetryTest, ZeroDeliveredPacketsFillsFiniteDefaults) {
 TEST(TelemetryTest, ZeroMeasuredCyclesClampsDivisor) {
   // measuredCycles == 0 (e.g. a run that deadlocked during warm-up) clamps
   // the divisor to 1 instead of producing inf/NaN.
-  Telemetry telemetry(1, 0);
-  telemetry.recordEjectedFlit(0, true);
+  Telemetry telemetry(1);
+  telemetry.recordEjectedFlit(true);
   telemetry.recordChannelFlit(0, true);
   RunStats stats;
   telemetry.fill(stats, 0, 2);
@@ -78,7 +49,7 @@ TEST(TelemetryTest, ZeroMeasuredCyclesClampsDivisor) {
 TEST(TelemetryTest, ChannelFlitRecorderGatesOnMeasurementWindow) {
   // The gate lives inside the recorder (like recordEjectedFlit /
   // recordDelivered), so warm-up flits can never leak into utilization.
-  Telemetry telemetry(2, 0);
+  Telemetry telemetry(2);
   telemetry.recordChannelFlit(0, /*measuring=*/false);
   telemetry.recordChannelFlit(0, /*measuring=*/true);
   telemetry.recordChannelFlit(1, /*measuring=*/true);
@@ -94,7 +65,7 @@ TEST(TelemetryTest, ChannelFlitRecorderGatesOnMeasurementWindow) {
 TEST(TelemetryTest, DeliveredGateSplitsLatencySketchFromMeasuredCount) {
   // recordDelivered always feeds the latency sketch (the caller pre-filters
   // by generation time) but only counts measured packets when gated in.
-  Telemetry telemetry(1, 0);
+  Telemetry telemetry(1);
   telemetry.recordDelivered(10.0, 2.0, /*measuring=*/false);
   telemetry.recordDelivered(20.0, 4.0, /*measuring=*/true);
   RunStats stats;

@@ -1,10 +1,16 @@
-// Packet tracing: every simulated packet's recorded path must be a legal,
-// connected channel walk; with shortest-path routing it must additionally
-// be exactly minimal.  This ties the simulator back to the routing theory:
-// whatever contention does, packets never violate the turn rule.
+// Packet tracing: every simulated packet's traced path (the channels of its
+// PacketTracer vc_allocated events) must be a legal, connected channel
+// walk; with shortest-path routing it must additionally be exactly minimal.
+// This ties the simulator back to the routing theory: whatever contention
+// does, packets never violate the turn rule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "core/downup_routing.hpp"
+#include "obs/observer.hpp"
 #include "sim/engine.hpp"
 #include "topology/generate.hpp"
 
@@ -37,9 +43,10 @@ TEST_P(TraceLegalityTest, EveryTracedPathIsLegal) {
   config.packetLengthFlits = 8;
   config.warmupCycles = 0;
   config.measureCycles = 6000;
-  config.tracePackets = true;
   config.misrouteProbability = misroute;
   config.seed = 21;
+  obs::Observer observer({.traceSampleEvery = 1}, topo);
+  config.observer = &observer;
   const UniformTraffic traffic(topo.nodeCount());
   WormholeNetwork net(routing.table(), traffic, 0.15, config);
   for (int i = 0; i < 6000; ++i) net.step();
@@ -49,7 +56,7 @@ TEST_P(TraceLegalityTest, EveryTracedPathIsLegal) {
   std::size_t checked = 0;
   for (PacketId pid = 0; pid < net.packetsGenerated(); ++pid) {
     if (net.packetEjectTime(pid) == WormholeNetwork::kNeverEjected) continue;
-    const auto& path = net.packetPath(pid);
+    const auto path = observer.tracer()->channelPath(pid);
     ASSERT_FALSE(path.empty());
     // Path structure: starts at src, chains, ends at dst.
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
@@ -84,15 +91,66 @@ TEST(Tracing, DisabledByDefault) {
   const CoordinatedTree ct =
       CoordinatedTree::build(topo, TreePolicy::kM1SmallestFirst, rng);
   const Routing routing = routing::buildUpDown(topo, ct);
+  EXPECT_EQ(obs::Observer(obs::ObsOptions{}, topo).tracer(), nullptr);
+
+  // Sampling 1-in-2: only the even packet ids record a path.
+  obs::Observer observer({.traceSampleEvery = 2}, topo);
   SimConfig config;
   config.packetLengthFlits = 4;
   config.warmupCycles = 0;
+  config.observer = &observer;
   const UniformTraffic traffic(topo.nodeCount());
   WormholeNetwork net(routing.table(), traffic, 0.0, config);
-  const PacketId pid = net.injectPacket(0, 2);
+  const PacketId sampled = net.injectPacket(0, 2);
+  const PacketId unsampled = net.injectPacket(1, 3);
   for (int i = 0; i < 200; ++i) net.step();
-  EXPECT_NE(net.packetEjectTime(pid), WormholeNetwork::kNeverEjected);
-  EXPECT_TRUE(net.packetPath(pid).empty());
+  EXPECT_NE(net.packetEjectTime(unsampled), WormholeNetwork::kNeverEjected);
+  EXPECT_EQ(observer.tracer()->channelPath(sampled).size(),
+            routing.table().distance(0, 2));
+  EXPECT_TRUE(observer.tracer()->channelPath(unsampled).empty());
+}
+
+TEST(Tracing, InFlightPathGrowsIntoTheEjectedPath) {
+  // A packet's path is readable while it is still in the network: each
+  // cycle's channelPath extends the previous one, and the walk it ends as
+  // is the full minimal route.
+  const Topology topo = topo::ring(6);
+  util::Rng rng(1);
+  const CoordinatedTree ct =
+      CoordinatedTree::build(topo, TreePolicy::kM1SmallestFirst, rng);
+  const Routing routing = routing::buildUpDown(topo, ct);
+  obs::Observer observer({.traceSampleEvery = 1}, topo);
+  SimConfig config;
+  config.packetLengthFlits = 4;
+  config.warmupCycles = 0;
+  config.observer = &observer;
+  const UniformTraffic traffic(topo.nodeCount());
+  WormholeNetwork net(routing.table(), traffic, 0.0, config);
+  const PacketId pid = net.injectPacket(0, 3);
+  const std::size_t hops = routing.table().distance(0, 3);
+  ASSERT_GE(hops, 2u);
+
+  std::vector<std::uint32_t> previous;
+  std::size_t inFlightLengths = 0;
+  for (int i = 0; i < 200; ++i) {
+    net.step();
+    const auto path = observer.tracer()->channelPath(pid);
+    ASSERT_GE(path.size(), previous.size());
+    EXPECT_TRUE(std::equal(previous.begin(), previous.end(), path.begin()))
+        << "an in-flight path was rewritten at cycle " << i;
+    const bool ejected =
+        net.packetEjectTime(pid) != WormholeNetwork::kNeverEjected;
+    if (!ejected && path.size() > previous.size() && path.size() < hops) {
+      ++inFlightLengths;
+    }
+    previous = path;
+  }
+  ASSERT_NE(net.packetEjectTime(pid), WormholeNetwork::kNeverEjected);
+  // Some partial walk was visible before the packet reached its destination.
+  EXPECT_GT(inFlightLengths, 0u);
+  ASSERT_EQ(previous.size(), hops);
+  EXPECT_EQ(topo.channelSrc(previous.front()), 0u);
+  EXPECT_EQ(topo.channelDst(previous.back()), 3u);
 }
 
 TEST(LatencyBreakdown, QueueingPlusNetworkEqualsTotal) {
